@@ -24,7 +24,6 @@ from .complexes import (
     poisson_bracket,
 )
 from .operad import (
-    GroupElement,
     Interval,
     IntervalOperation,
     factorization_product,

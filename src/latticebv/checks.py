@@ -39,7 +39,14 @@ from .operad import (
 )
 from .oracle import TruncationSpec, d_quantum_reference, h0_dimension, h0_inclusion_is_iso
 from .parser import parse_cochain
-from .reduction import HomotopyCertificate, Window, normal_form, relocate, verify_certificate
+from .reduction import (
+    CertificateError,
+    HomotopyCertificate,
+    Window,
+    normal_form,
+    relocate,
+    verify_certificate,
+)
 from .scalars import Scalar
 from .weyl import (
     FockVector,
@@ -152,7 +159,8 @@ def _certificate_witness(cert: HomotopyCertificate, params: ModelParams) -> dict
     """Serialize a certificate after re-verifying it through both paths."""
     main_ok = verify_certificate(cert, params)
     residue = cert.input - cert.normal_form - d_quantum_reference(cert.homotopy, params)
-    assert main_ok and residue.is_zero, "certificate failed independent re-verification"
+    if not (main_ok and residue.is_zero):
+        raise CertificateError("certificate failed independent re-verification")
     out = cert.as_dict()
     out["verified"] = True
     out["alpha"] = str(params.alpha)

@@ -19,6 +19,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Mapping
 
+from ._sparse import accumulate, canonical, power, render, scale, wrap
 from .scalars import Scalar, as_scalar
 
 Site = int
@@ -136,6 +137,15 @@ class Monomial:
                 return e
         return 0
 
+    def lower_field(self, site: Site) -> "Monomial":
+        """Remove one delta[site] factor (the exponent must be positive)."""
+        fields = tuple(
+            (s, e - 1 if s == site else e)
+            for s, e in self.fields
+            if not (s == site and e == 1)
+        )
+        return Monomial(fields, self.antifields)
+
     def field_sites(self) -> tuple[Site, ...]:
         return tuple(s for s, _ in self.fields)
 
@@ -155,7 +165,7 @@ class Monomial:
     def __str__(self) -> str:
         factors = [f"bdelta[{s}]" for s in self.antifields]
         for s, e in self.fields:
-            factors.append(f"delta[{s}]" if e == 1 else f"delta[{s}]^{e}")
+            factors.append(power(f"delta[{s}]", e))
         return "*".join(factors) if factors else "1"
 
     def __repr__(self) -> str:
@@ -188,13 +198,7 @@ class Cochain:
     __slots__ = ("_terms",)
 
     def __init__(self, terms: Mapping[Monomial, Scalar] | None = None):
-        canonical: dict[Monomial, Scalar] = {}
-        if terms:
-            for m, c in terms.items():
-                c = as_scalar(c)
-                if not c.is_zero:
-                    canonical[m] = c
-        self._terms = canonical
+        self._terms = canonical(terms, as_scalar)
 
     # -- constructors ------------------------------------------------------
 
@@ -247,22 +251,10 @@ class Cochain:
     def __add__(self, other: "Cochain") -> "Cochain":
         if not isinstance(other, Cochain):
             return NotImplemented
-        terms = dict(self._terms)
-        for m, c in other._terms.items():
-            s = terms.get(m)
-            s = c if s is None else s + c
-            if s.is_zero:
-                terms.pop(m, None)
-            else:
-                terms[m] = s
-        out = Cochain.__new__(Cochain)
-        out._terms = terms
-        return out
+        return wrap(Cochain, accumulate(dict(self._terms), other._terms.items()))
 
     def __neg__(self) -> "Cochain":
-        out = Cochain.__new__(Cochain)
-        out._terms = {m: -c for m, c in self._terms.items()}
-        return out
+        return wrap(Cochain, {m: -c for m, c in self._terms.items()})
 
     def __sub__(self, other: "Cochain") -> "Cochain":
         return self + (-other)
@@ -270,29 +262,17 @@ class Cochain:
     def __mul__(self, other: "Cochain | Scalar | int | Fraction") -> "Cochain":
         if not isinstance(other, Cochain):
             factor = as_scalar(other)
-            if factor.is_zero:
-                return Cochain.zero()
-            out = Cochain.__new__(Cochain)
-            out._terms = {m: c * factor for m, c in self._terms.items()}
-            return out
-        terms: dict[Monomial, Scalar] = {}
-        for m1, c1 in self._terms.items():
-            for m2, c2 in other._terms.items():
-                prod, sign = _mul_monomials(m1, m2)
-                if prod is None:
-                    continue
-                c = c1 * c2
-                if sign < 0:
-                    c = -c
-                s = terms.get(prod)
-                s = c if s is None else s + c
-                if s.is_zero:
-                    terms.pop(prod, None)
-                else:
-                    terms[prod] = s
-        out = Cochain.__new__(Cochain)
-        out._terms = terms
-        return out
+            return wrap(Cochain, scale(self._terms, factor))
+
+        def products():
+            for m1, c1 in self._terms.items():
+                for m2, c2 in other._terms.items():
+                    prod, sign = _mul_monomials(m1, m2)
+                    if prod is not None:
+                        c = c1 * c2
+                        yield prod, (c if sign > 0 else -c)
+
+        return wrap(Cochain, accumulate({}, products()))
 
     def __rmul__(self, other: "Scalar | int | Fraction") -> "Cochain":
         return self * other
@@ -334,9 +314,7 @@ class Cochain:
         return {m.degree for m in self._terms}
 
     def homogeneous_part(self, degree: int) -> "Cochain":
-        out = Cochain.__new__(Cochain)
-        out._terms = {m: c for m, c in self._terms.items() if m.degree == degree}
-        return out
+        return wrap(Cochain, {m: c for m, c in self._terms.items() if m.degree == degree})
 
     def max_polynomial_degree(self) -> int:
         return max((m.polynomial_degree for m in self._terms), default=0)
@@ -366,27 +344,12 @@ class Cochain:
 
     def partial_field(self, site: Site) -> "Cochain":
         """Even derivative d/d delta[site]: degree 0, ordinary power rule."""
-        terms: dict[Monomial, Scalar] = {}
-        for m, c in self._terms.items():
-            e = m.field_exponent(site)
-            if not e:
-                continue
-            fields = tuple(
-                (s, x - 1 if s == site else x)
-                for s, x in m.fields
-                if not (s == site and x == 1)
-            )
-            reduced = Monomial(fields, m.antifields)
-            s = terms.get(reduced)
-            add = c * e
-            s = add if s is None else s + add
-            if s.is_zero:
-                terms.pop(reduced, None)
-            else:
-                terms[reduced] = s
-        out = Cochain.__new__(Cochain)
-        out._terms = terms
-        return out
+        derived = (
+            (m.lower_field(site), c * e)
+            for m, c in self._terms.items()
+            if (e := m.field_exponent(site))
+        )
+        return wrap(Cochain, accumulate({}, derived))
 
     def partial_antifield(self, site: Site) -> "Cochain":
         """Odd left derivative d/d bdelta[site]: degree +1.
@@ -395,23 +358,15 @@ class Cochain:
         (-1)^(i-1) times the word with that factor deleted; zero when the
         site is absent.
         """
-        terms: dict[Monomial, Scalar] = {}
-        for m, c in self._terms.items():
-            try:
-                i = m.antifields.index(site)
-            except ValueError:
-                continue
-            reduced = Monomial(m.fields, m.antifields[:i] + m.antifields[i + 1 :])
-            add = c if i % 2 == 0 else -c
-            s = terms.get(reduced)
-            s = add if s is None else s + add
-            if s.is_zero:
-                terms.pop(reduced, None)
-            else:
-                terms[reduced] = s
-        out = Cochain.__new__(Cochain)
-        out._terms = terms
-        return out
+
+        def derived():
+            for m, c in self._terms.items():
+                if site in m.antifields:
+                    i = m.antifields.index(site)
+                    reduced = Monomial(m.fields, m.antifields[:i] + m.antifields[i + 1 :])
+                    yield reduced, (c if i % 2 == 0 else -c)
+
+        return wrap(Cochain, accumulate({}, derived()))
 
     def map_sites(self, fn: Callable[[Site], Site]) -> "Cochain":
         """Relabel every generator site through ``fn``, re-canonicalizing.
@@ -420,61 +375,30 @@ class Cochain:
         re-sorting the relabeled antifield word is folded into the
         coefficients (relevant e.g. for site negation).
         """
-        out = Cochain.zero()
-        for m, c in self._terms.items():
-            moved_fields = {fn(s): e for s, e in m.fields}
-            if len(moved_fields) != len(m.fields):
-                raise ValueError("site map is not injective on the support")
-            moved_anti = tuple(fn(s) for s in m.antifields)
-            out = out + Cochain.monomial(moved_fields, moved_anti, c)
-        return out
+
+        def moved():
+            for m, c in self._terms.items():
+                fields = {fn(s): e for s, e in m.fields}
+                if len(fields) != len(m.fields):
+                    raise ValueError("site map is not injective on the support")
+                anti, sign = sort_antifields(fn(s) for s in m.antifields)
+                if sign:
+                    yield Monomial.make(fields, anti), (c if sign > 0 else -c)
+
+        return wrap(Cochain, accumulate({}, moved()))
 
     # -- rendering -----------------------------------------------------------
 
     def __str__(self) -> str:
-        if not self._terms:
-            return "0"
-        pieces: list[str] = []
-        for m in sorted(self._terms, key=Monomial.sort_key):
-            c = self._terms[m]
-            body, negated = _coefficient_prefix(c)
-            if m != Monomial.UNIT:
-                body = f"{body}*{m}" if body else str(m)
-            elif not body:
-                body = "1"
-            if not pieces:
-                pieces.append("-" + body if negated else body)
-            else:
-                pieces.append(("- " if negated else "+ ") + body)
-        return " ".join(pieces)
+        ordered = sorted(self._terms, key=Monomial.sort_key)
+        return render(((m, self._terms[m]) for m in ordered), _basis_text)
 
     def __repr__(self) -> str:
         return f"Cochain({self})"
 
 
-def _coefficient_prefix(c: Scalar) -> tuple[str, bool]:
-    """Render a coefficient for use in front of a monomial.
-
-    Returns ``(text, negated)``; ``text`` may be empty for a plain 1.
-    Multi-term scalars are parenthesized so the output stays parseable.
-    """
-    items = sorted(c.terms())
-    if len(items) > 1:
-        return f"({c})", False
-    ((hp, ap), q) = items[0]
-    negated = q < 0
-    q = abs(q)
-    factors: list[str] = []
-    if q != 1 or (hp == 0 and ap == 0):
-        factors.append(str(q))
-    if hp:
-        factors.append("hbar" if hp == 1 else f"hbar^{hp}")
-    if ap:
-        factors.append("alpha" if ap == 1 else f"alpha^{ap}")
-    text = "*".join(factors)
-    if text == "1":
-        text = ""
-    return text, negated
+def _basis_text(m: Monomial) -> str:
+    return "" if m == Monomial.UNIT else str(m)
 
 
 class LatticeFunction:
@@ -485,16 +409,10 @@ class LatticeFunction:
     on these rather than on general cochains.
     """
 
-    __slots__ = ("_values",)
+    __slots__ = ("_terms",)
 
     def __init__(self, values: Mapping[Site, Scalar | int | Fraction] | None = None):
-        canonical: dict[Site, Scalar] = {}
-        if values:
-            for s, v in values.items():
-                v = as_scalar(v)
-                if not v.is_zero:
-                    canonical[int(s)] = v
-        self._values = canonical
+        self._terms = canonical(values, as_scalar, int)
 
     @classmethod
     def zero(cls) -> "LatticeFunction":
@@ -506,78 +424,58 @@ class LatticeFunction:
         return cls({site: value})
 
     def __add__(self, other: "LatticeFunction") -> "LatticeFunction":
-        values = dict(self._values)
-        for s, v in other._values.items():
-            w = values.get(s)
-            w = v if w is None else w + v
-            if w.is_zero:
-                values.pop(s, None)
-            else:
-                values[s] = w
-        out = LatticeFunction.__new__(LatticeFunction)
-        out._values = values
-        return out
+        return wrap(LatticeFunction, accumulate(dict(self._terms), other._terms.items()))
 
     def __neg__(self) -> "LatticeFunction":
-        out = LatticeFunction.__new__(LatticeFunction)
-        out._values = {s: -v for s, v in self._values.items()}
-        return out
+        return wrap(LatticeFunction, {s: -v for s, v in self._terms.items()})
 
     def __sub__(self, other: "LatticeFunction") -> "LatticeFunction":
         return self + (-other)
 
     def __mul__(self, factor: Scalar | int | Fraction) -> "LatticeFunction":
         factor = as_scalar(factor)
-        if factor.is_zero:
-            return LatticeFunction.zero()
-        out = LatticeFunction.__new__(LatticeFunction)
-        out._values = {s: v * factor for s, v in self._values.items()}
-        return out
+        return wrap(LatticeFunction, scale(self._terms, factor))
 
     __rmul__ = __mul__
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, LatticeFunction):
             return NotImplemented
-        return self._values == other._values
+        return self._terms == other._terms
 
     @property
     def is_zero(self) -> bool:
-        return not self._values
+        return not self._terms
 
     def get(self, site: Site) -> Scalar:
-        return self._values.get(site, Scalar.zero())
+        return self._terms.get(site, Scalar.zero())
 
     def items(self) -> Iterator[tuple[Site, Scalar]]:
-        return iter(self._values.items())
+        return iter(self._terms.items())
 
     def support(self) -> set[Site]:
-        return set(self._values)
+        return set(self._terms)
 
     def shift(self, n: int) -> "LatticeFunction":
         """Translate: x -> f(x - n), i.e. move the support by +n."""
-        out = LatticeFunction.__new__(LatticeFunction)
-        out._values = {s + n: v for s, v in self._values.items()}
-        return out
+        return wrap(LatticeFunction, {s + n: v for s, v in self._terms.items()})
 
     def reverse(self) -> "LatticeFunction":
         """Time reversal: x -> f(-x)."""
-        out = LatticeFunction.__new__(LatticeFunction)
-        out._values = {-s: v for s, v in self._values.items()}
-        return out
+        return wrap(LatticeFunction, {-s: v for s, v in self._terms.items()})
 
     def as_field_cochain(self) -> Cochain:
         """The degree-0 cochain sum f(x) delta[x]."""
-        return Cochain({Monomial.make({s: 1}): v for s, v in self._values.items()})
+        return Cochain({Monomial.make({s: 1}): v for s, v in self._terms.items()})
 
     def as_antifield_cochain(self) -> Cochain:
         """The degree-(-1) cochain sum f(x) bdelta[x]."""
-        return Cochain({Monomial((), (s,)): v for s, v in self._values.items()})
+        return Cochain({Monomial((), (s,)): v for s, v in self._terms.items()})
 
     def __str__(self) -> str:
-        if not self._values:
+        if not self._terms:
             return "{}"
-        body = ", ".join(f"{s}: {v}" for s, v in sorted(self._values.items()))
+        body = ", ".join(f"{s}: {v}" for s, v in sorted(self._terms.items()))
         return "{" + body + "}"
 
     def __repr__(self) -> str:

@@ -22,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from ._sparse import accumulate, wrap
 from .cochains import Cochain, LatticeFunction, Monomial, Site
 from .scalars import Scalar, as_scalar
 
@@ -94,21 +95,12 @@ def laplace(f: LatticeFunction, params: ModelParams) -> LatticeFunction:
     The support grows by at most one site on each side.
     """
     ap1 = params.alpha_plus_inverse()
-    values: dict[Site, Scalar] = {}
-
-    def bump(site: Site, v: Scalar) -> None:
-        w = values.get(site)
-        w = v if w is None else w + v
-        if w.is_zero:
-            values.pop(site, None)
-        else:
-            values[site] = w
-
-    for s, v in f.items():
-        bump(s - 1, v)
-        bump(s, -(v * ap1))
-        bump(s + 1, v)
-    return LatticeFunction(values)
+    bumps = (
+        pair
+        for s, v in f.items()
+        for pair in ((s - 1, v), (s, -(v * ap1)), (s + 1, v))
+    )
+    return wrap(LatticeFunction, accumulate({}, bumps))
 
 
 def differential(c: Cochain, params: ModelParams) -> Cochain:
@@ -119,23 +111,18 @@ def differential(c: Cochain, params: ModelParams) -> Cochain:
     """
     ap1 = params.alpha_plus_inverse()
     one = Scalar.one()
-    out: dict[Monomial, Scalar] = {}
-    for m, coeff in c.terms():
-        for i, s in enumerate(m.antifields):
-            rest = m.antifields[:i] + m.antifields[i + 1 :]
-            sign_coeff = coeff if i % 2 == 0 else -coeff
-            for site, weight in ((s - 1, one), (s, -ap1), (s + 1, one)):
-                fields = dict(m.fields)
-                fields[site] = fields.get(site, 0) + 1
-                mono = Monomial(tuple(sorted(fields.items())), rest)
-                add = sign_coeff * weight
-                w = out.get(mono)
-                w = add if w is None else w + add
-                if w.is_zero:
-                    out.pop(mono, None)
-                else:
-                    out[mono] = w
-    return Cochain(out)
+
+    def images():
+        for m, coeff in c.terms():
+            for i, s in enumerate(m.antifields):
+                rest = m.antifields[:i] + m.antifields[i + 1 :]
+                sign_coeff = coeff if i % 2 == 0 else -coeff
+                for site, weight in ((s - 1, one), (s, -ap1), (s + 1, one)):
+                    fields = dict(m.fields)
+                    fields[site] = fields.get(site, 0) + 1
+                    yield Monomial(tuple(sorted(fields.items())), rest), sign_coeff * weight
+
+    return wrap(Cochain, accumulate({}, images()))
 
 
 def odd_laplacian(c: Cochain) -> Cochain:
@@ -144,29 +131,20 @@ def odd_laplacian(c: Cochain) -> Cochain:
     Second-order, degree +1, vanishes on generators; only sites carrying
     both an odd factor and a field power contribute.
     """
-    out: dict[Monomial, Scalar] = {}
-    for m, coeff in c.terms():
-        if not m.antifields or not m.fields:
-            continue
-        exponents = dict(m.fields)
-        for i, s in enumerate(m.antifields):
-            e = exponents.get(s, 0)
-            if not e:
+
+    def images():
+        for m, coeff in c.terms():
+            if not m.antifields or not m.fields:
                 continue
-            fields = tuple(
-                (t, x - 1 if t == s else x)
-                for t, x in m.fields
-                if not (t == s and x == 1)
-            )
-            mono = Monomial(fields, m.antifields[:i] + m.antifields[i + 1 :])
-            add = coeff * e if i % 2 == 0 else -(coeff * e)
-            w = out.get(mono)
-            w = add if w is None else w + add
-            if w.is_zero:
-                out.pop(mono, None)
-            else:
-                out[mono] = w
-    return Cochain(out)
+            exponents = dict(m.fields)
+            for i, s in enumerate(m.antifields):
+                e = exponents.get(s, 0)
+                if e:
+                    rest = m.antifields[:i] + m.antifields[i + 1 :]
+                    term = coeff * e
+                    yield Monomial(m.lower_field(s).fields, rest), (term if i % 2 == 0 else -term)
+
+    return wrap(Cochain, accumulate({}, images()))
 
 
 def d_quantum(c: Cochain, params: ModelParams) -> Cochain:

@@ -23,7 +23,6 @@ from .cochains import Cochain, LatticeFunction, Site, support_within
 __all__ = [
     "Interval",
     "IntervalOperation",
-    "GroupElement",
     "gamma_permutation",
     "perm_substitute",
     "substitute",
@@ -109,53 +108,6 @@ class IntervalOperation:
 
     def reflect(self) -> "IntervalOperation":
         return IntervalOperation(tuple(I.reflect() for I in self.inputs), self.output.reflect())
-
-
-@dataclass(frozen=True)
-class GroupElement:
-    """Element of the lattice symmetry group: reflect (optionally), then shift.
-
-    Integer translations act by I -> I + n and the reversal by I -> -I;
-    together they form the semidirect product of Z with the two-element
-    group, composed as maps.
-    """
-
-    shift: int = 0
-    reflect: bool = False
-
-    @classmethod
-    def translation(cls, n: int) -> "GroupElement":
-        return cls(shift=n)
-
-    @classmethod
-    def reversal(cls) -> "GroupElement":
-        return cls(reflect=True)
-
-    def apply_site(self, x: Site) -> Site:
-        return (-x if self.reflect else x) + self.shift
-
-    def compose(self, other: "GroupElement") -> "GroupElement":
-        """self after other, as maps of the lattice."""
-        return GroupElement(
-            shift=self.shift + (-other.shift if self.reflect else other.shift),
-            reflect=self.reflect ^ other.reflect,
-        )
-
-    def inverse(self) -> "GroupElement":
-        if self.reflect:
-            return GroupElement(shift=self.shift, reflect=True)
-        return GroupElement(shift=-self.shift)
-
-    def apply_interval(self, I: Interval) -> Interval:
-        moved = I.reflect() if self.reflect else I
-        return moved.shift(self.shift)
-
-    def apply_operation(self, op: IntervalOperation) -> IntervalOperation:
-        moved = op.reflect() if self.reflect else op
-        return moved.shift(self.shift)
-
-    def apply_cochain(self, c: Cochain) -> Cochain:
-        return c.map_sites(self.apply_site)
 
 
 def gamma_permutation(op: IntervalOperation) -> tuple[int, ...]:

@@ -170,6 +170,29 @@ def _differential_columns(
     return columns
 
 
+def _truncated_complex(
+    spec: TruncationSpec, include_unit: bool = True
+) -> tuple[dict[int, list[Monomial]], dict[int, list[list[Fraction]]], dict[int, int]]:
+    """The truncated complex: basis, coordinate columns of d_h and their ranks.
+
+    ``columns[g]`` and ``ranks[g]`` describe d_h from degree g to g + 1 and
+    are present only where both degrees have a basis.
+    """
+    basis = truncated_basis(spec.interval, spec.maxdeg, include_unit)
+    columns: dict[int, list[list[Fraction]]] = {}
+    ranks: dict[int, int] = {}
+    for g, monomials in basis.items():
+        if g + 1 in basis:
+            index = {m: i for i, m in enumerate(basis[g + 1])}
+            columns[g] = _differential_columns(monomials, index, spec)
+            ranks[g] = matrix_rank(columns[g])
+    return basis, columns, ranks
+
+
+def _dimensions(basis: dict[int, list[Monomial]], ranks: dict[int, int]) -> dict[int, int]:
+    return {g: len(basis[g]) - ranks.get(g, 0) - ranks.get(g - 1, 0) for g in sorted(basis)}
+
+
 def cohomology_oracle(
     spec: TruncationSpec, include_unit: bool = True
 ) -> dict[int, int]:
@@ -178,23 +201,8 @@ def cohomology_oracle(
     Builds the specialized quantum differential on the monomial basis and
     computes exact ranks over the rationals.
     """
-    basis = truncated_basis(spec.interval, spec.maxdeg, include_unit)
-    degrees = sorted(basis)
-    indexes = {
-        g: {m: i for i, m in enumerate(monomials)} for g, monomials in basis.items()
-    }
-    ranks: dict[int, int] = {}
-    for g in degrees:
-        if g + 1 not in basis:
-            ranks[g] = 0
-            continue
-        columns = _differential_columns(basis[g], indexes[g + 1], spec)
-        ranks[g] = matrix_rank(columns)
-    out: dict[int, int] = {}
-    for g in degrees:
-        dim = len(basis[g])
-        out[g] = dim - ranks.get(g, 0) - ranks.get(g - 1, 0)
-    return out
+    basis, _, ranks = _truncated_complex(spec, include_unit)
+    return _dimensions(basis, ranks)
 
 
 def h0_dimension(spec: TruncationSpec) -> int:
@@ -215,24 +223,15 @@ def h0_inclusion_is_iso(
     full rank; ranks are computed exactly over the rationals.
     """
     hval, aval = Fraction(hval), Fraction(aval)
-    inner_spec = TruncationSpec(inner, maxdeg, hval, aval)
-    outer_spec = TruncationSpec(outer, maxdeg, hval, aval)
-    dim_inner = h0_dimension(inner_spec)
-    dim_outer = h0_dimension(outer_spec)
-    if dim_inner != dim_outer:
+    inner_basis, _, inner_ranks = _truncated_complex(TruncationSpec(inner, maxdeg, hval, aval))
+    outer_basis, outer_columns, outer_ranks = _truncated_complex(
+        TruncationSpec(outer, maxdeg, hval, aval)
+    )
+    dim_inner = _dimensions(inner_basis, inner_ranks)[0]
+    if dim_inner != _dimensions(outer_basis, outer_ranks)[0]:
         return False
 
-    outer_basis = truncated_basis(outer, maxdeg)
     outer_zero_index = {m: i for i, m in enumerate(outer_basis[0])}
-    if -1 in outer_basis:
-        image_columns = _differential_columns(
-            outer_basis[-1], outer_zero_index, outer_spec
-        )
-    else:
-        image_columns = []
-    rank_image = matrix_rank(image_columns)
-
-    inner_basis = truncated_basis(inner, maxdeg)
     size = len(outer_zero_index)
     inclusion_columns: list[list[Fraction]] = []
     for m in inner_basis[0]:
@@ -240,5 +239,6 @@ def h0_inclusion_is_iso(
         column[outer_zero_index[m]] = Fraction(1)
         inclusion_columns.append(column)
 
+    image_columns = outer_columns.get(-1, [])
     combined = matrix_rank(image_columns + inclusion_columns)
-    return combined - rank_image == dim_inner
+    return combined - outer_ranks.get(-1, 0) == dim_inner

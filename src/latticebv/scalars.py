@@ -17,6 +17,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Mapping, Union
 
+from ._sparse import accumulate, canonical, hbar_alpha, render, wrap
+
 RationalLike = Union[int, Fraction]
 
 __all__ = ["Scalar", "ZERO", "ONE", "HBAR", "ALPHA", "as_scalar", "mass_squared"]
@@ -36,15 +38,7 @@ class Scalar:
     __slots__ = ("_terms",)
 
     def __init__(self, terms: Mapping[tuple[int, int], RationalLike] | None = None):
-        canonical: dict[tuple[int, int], Fraction] = {}
-        if terms:
-            for (hp, ap), c in terms.items():
-                if hp < 0:
-                    raise ValueError("hbar powers must be non-negative")
-                c = Fraction(c)
-                if c:
-                    canonical[(int(hp), int(ap))] = c
-        self._terms = canonical
+        self._terms = canonical(terms, Fraction, _checked_key)
 
     # -- constructors ------------------------------------------------------
 
@@ -72,23 +66,12 @@ class Scalar:
 
     def __add__(self, other: "Scalar | RationalLike") -> "Scalar":
         other = as_scalar(other)
-        terms = dict(self._terms)
-        for key, c in other._terms.items():
-            s = terms.get(key, Fraction(0)) + c
-            if s:
-                terms[key] = s
-            else:
-                terms.pop(key, None)
-        out = Scalar.__new__(Scalar)
-        out._terms = terms
-        return out
+        return wrap(Scalar, accumulate(dict(self._terms), other._terms.items()))
 
     __radd__ = __add__
 
     def __neg__(self) -> "Scalar":
-        out = Scalar.__new__(Scalar)
-        out._terms = {key: -c for key, c in self._terms.items()}
-        return out
+        return wrap(Scalar, {key: -c for key, c in self._terms.items()})
 
     def __sub__(self, other: "Scalar | RationalLike") -> "Scalar":
         return self + (-as_scalar(other))
@@ -98,18 +81,12 @@ class Scalar:
 
     def __mul__(self, other: "Scalar | RationalLike") -> "Scalar":
         other = as_scalar(other)
-        terms: dict[tuple[int, int], Fraction] = {}
-        for (h1, a1), c1 in self._terms.items():
-            for (h2, a2), c2 in other._terms.items():
-                key = (h1 + h2, a1 + a2)
-                s = terms.get(key, Fraction(0)) + c1 * c2
-                if s:
-                    terms[key] = s
-                else:
-                    terms.pop(key, None)
-        out = Scalar.__new__(Scalar)
-        out._terms = terms
-        return out
+        products = (
+            ((h1 + h2, a1 + a2), c1 * c2)
+            for (h1, a1), c1 in self._terms.items()
+            for (h2, a2), c2 in other._terms.items()
+        )
+        return wrap(Scalar, accumulate({}, products))
 
     __rmul__ = __mul__
 
@@ -147,14 +124,12 @@ class Scalar:
     def is_zero(self) -> bool:
         return not self._terms
 
+    def __bool__(self) -> bool:
+        return bool(self._terms)
+
     @property
     def is_alpha_free(self) -> bool:
         return all(ap == 0 for (_, ap) in self._terms)
-
-    @property
-    def is_constant(self) -> bool:
-        """True if the scalar is a plain rational (no hbar, no alpha)."""
-        return all(key == (0, 0) for key in self._terms)
 
     def coefficient(self, hbar_power: int, alpha_power: int) -> Fraction:
         return self._terms.get((hbar_power, alpha_power), Fraction(0))
@@ -186,41 +161,23 @@ class Scalar:
         aval = Fraction(aval)
         if not aval:
             raise ValueError("alpha must be specialized to a nonzero rational")
-        terms: dict[tuple[int, int], Fraction] = {}
-        for (hp, ap), c in self._terms.items():
-            key = (hp, 0)
-            s = terms.get(key, Fraction(0)) + c * aval**ap
-            if s:
-                terms[key] = s
-            else:
-                terms.pop(key, None)
-        out = Scalar.__new__(Scalar)
-        out._terms = terms
-        return out
+        specialized = (((hp, 0), c * aval**ap) for (hp, ap), c in self._terms.items())
+        return wrap(Scalar, accumulate({}, specialized))
 
     # -- rendering ---------------------------------------------------------
 
     def __str__(self) -> str:
-        if not self._terms:
-            return "0"
-        pieces: list[str] = []
-        for (hp, ap), c in sorted(self._terms.items()):
-            factors: list[str] = []
-            if abs(c) != 1 or (hp == 0 and ap == 0):
-                factors.append(str(abs(c)))
-            if hp:
-                factors.append("hbar" if hp == 1 else f"hbar^{hp}")
-            if ap:
-                factors.append("alpha" if ap == 1 else f"alpha^{ap}")
-            body = "*".join(factors)
-            if not pieces:
-                pieces.append(body if c > 0 else "-" + body)
-            else:
-                pieces.append(("+ " if c > 0 else "- ") + body)
-        return " ".join(pieces)
+        return render(sorted(self._terms.items()), hbar_alpha)
 
     def __repr__(self) -> str:
         return f"Scalar({self})"
+
+
+def _checked_key(key: tuple[int, int]) -> tuple[int, int]:
+    hp, ap = key
+    if hp < 0:
+        raise ValueError("hbar powers must be non-negative")
+    return (int(hp), int(ap))
 
 
 def as_scalar(value: "Scalar | RationalLike") -> Scalar:

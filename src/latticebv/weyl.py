@@ -26,6 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
+from ._sparse import accumulate, canonical, power, product, render, scale, wrap
 from .cochains import Cochain, Monomial, support_within
 from .complexes import ModelParams
 from .operad import Interval, factorization_product, time_reversal, translate
@@ -55,13 +56,7 @@ class WeylElement:
     __slots__ = ("_terms",)
 
     def __init__(self, terms: Mapping[tuple[int, int], Scalar | int | Fraction] | None = None):
-        canonical: dict[tuple[int, int], Scalar] = {}
-        if terms:
-            for key, c in terms.items():
-                c = as_scalar(c)
-                if not c.is_zero:
-                    canonical[(int(key[0]), int(key[1]))] = c
-        self._terms = canonical
+        self._terms = canonical(terms, as_scalar, _qp_key)
 
     @classmethod
     def zero(cls) -> "WeylElement":
@@ -80,22 +75,10 @@ class WeylElement:
         return cls({(0, power): 1})
 
     def __add__(self, other: "WeylElement") -> "WeylElement":
-        terms = dict(self._terms)
-        for key, c in other._terms.items():
-            s = terms.get(key)
-            s = c if s is None else s + c
-            if s.is_zero:
-                terms.pop(key, None)
-            else:
-                terms[key] = s
-        out = WeylElement.__new__(WeylElement)
-        out._terms = terms
-        return out
+        return wrap(WeylElement, accumulate(dict(self._terms), other._terms.items()))
 
     def __neg__(self) -> "WeylElement":
-        out = WeylElement.__new__(WeylElement)
-        out._terms = {k: -c for k, c in self._terms.items()}
-        return out
+        return wrap(WeylElement, {k: -c for k, c in self._terms.items()})
 
     def __sub__(self, other: "WeylElement") -> "WeylElement":
         return self + (-other)
@@ -103,29 +86,19 @@ class WeylElement:
     def __mul__(self, other: "WeylElement | Scalar | int | Fraction") -> "WeylElement":
         if not isinstance(other, WeylElement):
             factor = as_scalar(other)
-            if factor.is_zero:
-                return WeylElement.zero()
-            out = WeylElement.__new__(WeylElement)
-            out._terms = {k: c * factor for k, c in self._terms.items()}
-            return out
-        terms: dict[tuple[int, int], Scalar] = {}
-        for (aq, ap), c1 in self._terms.items():
-            for (bq, bp), c2 in other._terms.items():
-                base = c1 * c2
-                # p^ap q^bq = sum_k C(ap,k) C(bq,k) k! hbar^k q^(bq-k) p^(ap-k)
-                for k in range(min(ap, bq) + 1):
-                    coef = math.comb(ap, k) * math.comb(bq, k) * math.factorial(k)
-                    add = base * coef * Scalar.hbar(k) if k else base * coef
-                    key = (aq + bq - k, ap + bp - k)
-                    s = terms.get(key)
-                    s = add if s is None else s + add
-                    if s.is_zero:
-                        terms.pop(key, None)
-                    else:
-                        terms[key] = s
-        out = WeylElement.__new__(WeylElement)
-        out._terms = terms
-        return out
+            return wrap(WeylElement, scale(self._terms, factor))
+
+        def products():
+            for (aq, ap), c1 in self._terms.items():
+                for (bq, bp), c2 in other._terms.items():
+                    base = c1 * c2
+                    # p^ap q^bq = sum_k C(ap,k) C(bq,k) k! hbar^k q^(bq-k) p^(ap-k)
+                    for k in range(min(ap, bq) + 1):
+                        coef = math.comb(ap, k) * math.comb(bq, k) * math.factorial(k)
+                        add = base * coef * Scalar.hbar(k) if k else base * coef
+                        yield (aq + bq - k, ap + bp - k), add
+
+        return wrap(WeylElement, accumulate({}, products()))
 
     __rmul__ = __mul__
 
@@ -159,43 +132,19 @@ class WeylElement:
         return tuple(sorted((k, c.key()) for k, c in self._terms.items()))
 
     def __str__(self) -> str:
-        if not self._terms:
-            return "0"
-        pieces: list[str] = []
-        for (a, b) in sorted(self._terms, key=lambda k: (-(k[0] + k[1]), -k[0])):
-            c = self._terms[(a, b)]
-            factors = []
-            if a:
-                factors.append("q" if a == 1 else f"q^{a}")
-            if b:
-                factors.append("p" if b == 1 else f"p^{b}")
-            mono = "*".join(factors)
-            items = sorted(c.terms())
-            if len(items) == 1:
-                ((hp, apow), frac) = items[0]
-                neg = frac < 0
-                frac = abs(frac)
-                cf = []
-                if frac != 1 or not (hp or apow or mono):
-                    cf.append(str(frac))
-                if hp:
-                    cf.append("hbar" if hp == 1 else f"hbar^{hp}")
-                if apow:
-                    cf.append("alpha" if apow == 1 else f"alpha^{apow}")
-                if mono:
-                    cf.append(mono)
-                body = "*".join(cf)
-            else:
-                body = f"({c})*{mono}" if mono else f"({c})"
-                neg = False
-            if not pieces:
-                pieces.append("-" + body if neg else body)
-            else:
-                pieces.append(("- " if neg else "+ ") + body)
-        return " ".join(pieces)
+        ordered = sorted(self._terms, key=lambda k: (-(k[0] + k[1]), -k[0]))
+        return render(((k, self._terms[k]) for k in ordered), _qp_text)
 
     def __repr__(self) -> str:
         return f"WeylElement({self})"
+
+
+def _qp_key(key: tuple[int, int]) -> tuple[int, int]:
+    return (int(key[0]), int(key[1]))
+
+
+def _qp_text(key: tuple[int, int]) -> str:
+    return product(power("q", key[0]), power("p", key[1]))
 
 
 @dataclass(frozen=True)
@@ -478,16 +427,10 @@ def time_reversal_weyl(w: WeylElement) -> WeylElement:
 class FockVector:
     """Element of the Fock module K[q] = Weyl / (left ideal generated by p)."""
 
-    __slots__ = ("_coeffs",)
+    __slots__ = ("_terms",)
 
     def __init__(self, coeffs: Mapping[int, Scalar | int | Fraction] | None = None):
-        canonical: dict[int, Scalar] = {}
-        if coeffs:
-            for n, c in coeffs.items():
-                c = as_scalar(c)
-                if not c.is_zero:
-                    canonical[int(n)] = c
-        self._coeffs = canonical
+        self._terms = canonical(coeffs, as_scalar, int)
 
     @classmethod
     def zero(cls) -> "FockVector":
@@ -499,55 +442,35 @@ class FockVector:
         return cls({n: 1})
 
     def __add__(self, other: "FockVector") -> "FockVector":
-        coeffs = dict(self._coeffs)
-        for n, c in other._coeffs.items():
-            s = coeffs.get(n)
-            s = c if s is None else s + c
-            if s.is_zero:
-                coeffs.pop(n, None)
-            else:
-                coeffs[n] = s
-        out = FockVector.__new__(FockVector)
-        out._coeffs = coeffs
-        return out
+        return wrap(FockVector, accumulate(dict(self._terms), other._terms.items()))
 
     def __sub__(self, other: "FockVector") -> "FockVector":
-        return self + FockVector({n: -c for n, c in other._coeffs.items()})
+        return self + wrap(FockVector, {n: -c for n, c in other._terms.items()})
 
     def __mul__(self, factor: Scalar | int | Fraction) -> "FockVector":
         factor = as_scalar(factor)
-        if factor.is_zero:
-            return FockVector.zero()
-        out = FockVector.__new__(FockVector)
-        out._coeffs = {n: c * factor for n, c in self._coeffs.items()}
-        return out
+        return wrap(FockVector, scale(self._terms, factor))
 
     __rmul__ = __mul__
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, FockVector):
             return NotImplemented
-        return self._coeffs == other._coeffs
+        return self._terms == other._terms
 
     @property
     def is_zero(self) -> bool:
-        return not self._coeffs
+        return not self._terms
 
     def coefficient(self, n: int) -> Scalar:
-        return self._coeffs.get(n, Scalar.zero())
+        return self._terms.get(n, Scalar.zero())
 
     def terms(self):
-        return self._coeffs.items()
+        return self._terms.items()
 
     def __str__(self) -> str:
-        if not self._coeffs:
-            return "0"
-        pieces = []
-        for n in sorted(self._coeffs, reverse=True):
-            c = self._coeffs[n]
-            mono = "1" if n == 0 else ("q" if n == 1 else f"q^{n}")
-            pieces.append(f"({c})*{mono}")
-        return " + ".join(pieces)
+        ordered = sorted(self._terms.items(), reverse=True)
+        return " + ".join(f"({c})*{power('q', n) or '1'}" for n, c in ordered) or "0"
 
     def __repr__(self) -> str:
         return f"FockVector({self})"

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -35,6 +39,37 @@ def test_cheap_checks_pass_with_witnesses():
     result = run_check("relocation-4.3")
     assert result.status == "pass"
     assert result.witness["certificate"]["verified"] is True
+
+
+BOGUS_CERTIFICATE_UNDER_O = """
+import sys
+from latticebv.checks import _certificate_witness
+from latticebv.complexes import ModelParams
+from latticebv.parser import parse_cochain as p
+from latticebv.reduction import HomotopyCertificate
+
+assert sys.flags.optimize, "must run under python -O"
+cert = HomotopyCertificate(p("delta[3]"), p("delta[0]"), p("bdelta[1]"))
+try:
+    _certificate_witness(cert, ModelParams.symbolic())
+except AssertionError:  # CertificateError, raised explicitly
+    sys.exit(0)
+sys.exit("bogus certificate came back verified")
+"""
+
+
+def test_certificate_witness_rejects_bogus_certificate_under_optimize():
+    # delta[3] = delta[0] + d_h(bdelta[1]) is false; python -O strips asserts
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", BOGUS_CERTIFICATE_UNDER_O],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_reports_and_exit_codes():

@@ -6,7 +6,6 @@ import pytest
 from latticebv.cochains import Cochain, LatticeFunction
 from latticebv.complexes import ModelParams, d_quantum
 from latticebv.operad import (
-    GroupElement,
     Interval,
     IntervalOperation,
     factorization_product,
@@ -46,6 +45,9 @@ def test_interval_sites():
     assert Interval(-4, Fraction(-3, 2)).field_sites() == (-3, -2)
     assert Interval.parse("-3/2,4") == half
     assert str(half) == "(-3/2,4)"
+    iv = Interval(0, 3)
+    assert iv.reflect() == Interval(-3, 0)
+    assert iv.shift(2) == Interval(2, 5)
 
 
 def test_interval_operations_validate():
@@ -61,6 +63,10 @@ def test_gamma_examples():
     assert gamma_permutation(ordered) == (0, 1)
     swapped = IntervalOperation((Interval(4, 7), Interval(0, 3)), Interval(0, 8))
     assert gamma_permutation(swapped) == (1, 0)
+    assert ordered.reflect().shift(2).output == Interval(-6, 2)
+    # reversal flips the reading order, translations never do
+    assert gamma_permutation(ordered.reflect()) == (1, 0)
+    assert gamma_permutation(ordered.shift(2)) == (0, 1)
 
 
 def test_perm_substitute_explicit():
@@ -151,40 +157,6 @@ def test_d_quantum_preserves_supports():
         if not support_within(c, ambient):
             continue
         assert support_within(d_quantum(c, SYMBOLIC), ambient)
-
-
-def test_group_element_laws():
-    rng = random.Random(19)
-    elements = [
-        GroupElement(shift=rng.randint(-5, 5), reflect=rng.random() < 0.5)
-        for _ in range(40)
-    ]
-    identity = GroupElement()
-    for g in elements:
-        assert g.compose(identity) == identity.compose(g) == g
-        assert g.compose(g.inverse()) == identity
-        for h in elements[:8]:
-            for k in elements[:8]:
-                assert g.compose(h).compose(k) == g.compose(h.compose(k))
-                # composition agrees with composition of lattice maps
-                x = rng.randint(-10, 10)
-                assert g.compose(h).apply_site(x) == g.apply_site(h.apply_site(x))
-
-
-def test_group_element_actions():
-    tau = GroupElement.reversal()
-    shift = GroupElement.translation(2)
-    iv = Interval(0, 3)
-    assert tau.apply_interval(iv) == Interval(-3, 0)
-    assert shift.apply_interval(iv) == Interval(2, 5)
-    assert tau.apply_cochain(d(1)) == d(-1)
-    assert shift.apply_cochain(d(1)) == translate(d(1), 2)
-    op = IntervalOperation((Interval(0, 3), Interval(4, 7)), Interval(0, 8))
-    moved = shift.compose(tau).apply_operation(op)
-    assert moved.output == Interval(-6, 2)
-    # reversal flips the reading order, translations never do
-    assert gamma_permutation(tau.apply_operation(op)) == (1, 0)
-    assert gamma_permutation(shift.apply_operation(op)) == (0, 1)
 
 
 def test_factorization_product_composition_compatibility():

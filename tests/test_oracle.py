@@ -1,8 +1,10 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from latticebv import oracle
 from latticebv.complexes import ModelParams, d_quantum
 from latticebv.operad import Interval
 from latticebv.oracle import (
@@ -49,6 +51,21 @@ def test_inclusion_isomorphisms():
     assert h0_inclusion_is_iso(Interval(0, 3), Interval(-1, 4), 2, 1, 1)
     assert h0_inclusion_is_iso(Interval(1, 4), Interval(0, 5), 3, 1, 2)
     assert h0_inclusion_is_iso(Interval(0, F(5, 2)), Interval(0, 25), 1, 1, 1)
+
+
+def test_inclusion_reuses_the_outer_complex(monkeypatch):
+    # the outer degree -1 differential is built and ranked once, by the oracle
+    calls = Counter()
+    for name in ("truncated_basis", "d_quantum_reference", "matrix_rank"):
+        original = getattr(oracle, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(oracle, name, counted)
+    assert h0_inclusion_is_iso(Interval(0, 4), Interval(-1, 4), 3, 1, 2)
+    assert calls == {"truncated_basis": 2, "d_quantum_reference": 45, "matrix_rank": 4}
 
 
 def test_basis_guard():
