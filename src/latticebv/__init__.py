@@ -45,12 +45,12 @@ from .reduction import (
 )
 from .scalars import Scalar, mass_squared
 from .weyl import (
-    FockVector,
     GEOMETRIES,
     H0Class,
     StarAlgebra,
     WeylElement,
     fock_action,
+    fock_projection,
     time_evolution,
     time_reversal_weyl,
 )

@@ -1,10 +1,10 @@
 """Sparse linear combinations: the one mechanism behind every term map.
 
 A :class:`~latticebv.scalars.Scalar` maps ``(hbar_power, alpha_power)`` to
-rationals; a ``Cochain`` maps monomials, a ``LatticeFunction`` sites, a
-``WeylElement`` ``(q_power, p_power)`` and a ``FockVector`` q-powers to
-scalars.  Each stores a dict ``_terms`` from key to nonzero coefficient, and
-this module holds what they share: building that dict from arbitrary input
+rationals; a ``Cochain`` maps monomials, a ``LatticeFunction`` sites and a
+``WeylElement`` ``(q_power, p_power)`` to scalars.  Each of the four stores
+a dict ``_terms`` from key to nonzero coefficient, and this module holds
+what they share: building that dict from arbitrary input
 (:func:`canonical`), adding terms into it so that a key whose coefficients
 cancel disappears (:func:`accumulate`), scaling it (:func:`scale`),
 wrapping a dict that is already canonical (:func:`wrap`), and rendering a

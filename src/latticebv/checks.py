@@ -35,7 +35,6 @@ from .operad import (
     gamma_permutation,
     perm_substitute,
     substitute,
-    time_reversal,
 )
 from .oracle import TruncationSpec, d_quantum_reference, h0_dimension, h0_inclusion_is_iso
 from .parser import parse_cochain
@@ -49,7 +48,6 @@ from .reduction import (
 )
 from .scalars import Scalar
 from .weyl import (
-    FockVector,
     StarAlgebra,
     WeylElement,
     fock_action,
@@ -75,16 +73,13 @@ class CheckConfig:
     alpha: Fraction | None = None
 
     def params(self) -> ModelParams:
-        return ModelParams(
-            alpha=Scalar.alpha() if self.alpha is None else Scalar.rational(self.alpha),
-            hbar=Scalar.hbar() if self.hbar is None else Scalar.rational(self.hbar),
-        )
+        return ModelParams.at(self.hbar, self.alpha)
 
 
 @dataclass
 class CheckResult:
     id: str
-    status: str  # pass | fail | skipped
+    status: str  # pass | fail | error
     statement: str
     witness: object
     elapsed_ms: int
@@ -108,7 +103,7 @@ _algebras: dict[tuple, StarAlgebra] = {}
 
 
 def _algebra(params: ModelParams, geometry: str = "default") -> StarAlgebra:
-    key = (params.key(), geometry)
+    key = (params, geometry)
     if key not in _algebras:
         _algebras[key] = StarAlgebra(params, geometry)
     return _algebras[key]
@@ -501,22 +496,22 @@ def _check_fock_action(cfg: CheckConfig):
     rng = Random(cfg.seed)
     hbar = Scalar.hbar()
     for n in range(11):
-        if fock_action(WeylElement.q(), FockVector.basis(n)) != FockVector.basis(n + 1):
+        if fock_action(WeylElement.q(), WeylElement.q(n)) != WeylElement.q(n + 1):
             return False, {"identity": f"q on q^{n}"}
-        want = FockVector({n - 1: hbar * n}) if n else FockVector.zero()
-        got = fock_action(WeylElement.p(), FockVector.basis(n))
+        want = WeylElement({(n - 1, 0): hbar * n}) if n else WeylElement.zero()
+        got = fock_action(WeylElement.p(), WeylElement.q(n))
         if got != want:
             return False, {"identity": f"p on q^{n}", "got": str(got)}
-        if n and got.coefficient(n - 1).specialize(1, 1) != Fraction(n):
+        if n and got.coefficient(n - 1, 0).specialize(1, 1) != Fraction(n):
             return False, {"identity": f"p on q^{n} at hbar=1"}
     for i in range(100):
         w1 = WeylElement({(rng.randint(0, 2), rng.randint(0, 2)): _random_scalar(rng)})
         w2 = WeylElement({(rng.randint(0, 2), rng.randint(0, 2)): _random_scalar(rng)})
-        v = FockVector({rng.randint(0, 4): _random_scalar(rng)})
+        v = WeylElement({(rng.randint(0, 4), 0): _random_scalar(rng)})
         if fock_action(w1 * w2, v) != fock_action(w1, fock_action(w2, v)):
             return False, {"w1": str(w1), "w2": str(w2), "v": str(v)}
     for n in range(5):
-        v = FockVector.basis(n)
+        v = WeylElement.q(n)
         pq = fock_action(WeylElement.p(), fock_action(WeylElement.q(), v))
         qp = fock_action(WeylElement.q(), fock_action(WeylElement.p(), v))
         if pq - qp != v * hbar:
@@ -677,7 +672,7 @@ def _check_weyl_iso(cfg: CheckConfig):
 def _check_mass_independence(cfg: CheckConfig):
     symbolic = _algebra(_SYMBOLIC, "default")
     specialized = [
-        _algebra(ModelParams(alpha=Scalar.rational(a), hbar=Scalar.hbar()), "default")
+        _algebra(ModelParams.at(alpha=a), "default")
         for a in (1, 2, 3)
     ]
     basis = [(a, b) for total in range(5) for b in range(total + 1) for a in (total - b,)]
@@ -908,17 +903,25 @@ _BY_ID = {check_id: (statement, fn) for check_id, statement, fn in _REGISTRY}
 
 
 def run_check(check_id: str, config: CheckConfig | None = None) -> CheckResult:
-    """Run one named check; unknown ids are an error."""
+    """Run one named check; unknown ids are an error.
+
+    A check that raises gets status ``error``, with the exception's type and
+    message as its witness, so the rest of a suite still runs and reports.
+    """
     if check_id not in _BY_ID:
         raise ValueError(f"unknown check id {check_id!r}")
     statement, fn = _BY_ID[check_id]
     config = config or CheckConfig()
     start = time.perf_counter()
-    ok, witness = fn(config)
+    try:
+        ok, witness = fn(config)
+        status = "pass" if ok else "fail"
+    except Exception as exc:
+        status, witness = "error", {"error": type(exc).__name__, "message": str(exc)}
     elapsed = int((time.perf_counter() - start) * 1000)
     return CheckResult(
         id=check_id,
-        status="pass" if ok else "fail",
+        status=status,
         statement=statement,
         witness=witness,
         elapsed_ms=elapsed,
@@ -943,12 +946,12 @@ def emit_report(results: list[CheckResult], format: str = "json") -> str:
         lines = []
         for r in results:
             lines.append(f"{r.status.upper():4}  {r.id:<{width}}  {r.statement}  [{r.elapsed_ms} ms]")
-        failed = sum(1 for r in results if r.status == "fail")
+        passed = sum(1 for r in results if r.status == "pass")
         lines.append("")
-        lines.append(f"{len(results) - failed}/{len(results)} checks passed")
+        lines.append(f"{passed}/{len(results)} checks passed")
         return "\n".join(lines) + "\n"
     raise ValueError(f"unknown report format {format!r}")
 
 
 def suite_exit_code(results: list[CheckResult]) -> int:
-    return 1 if any(r.status == "fail" for r in results) else 0
+    return 0 if all(r.status == "pass" for r in results) else 1

@@ -22,7 +22,6 @@ from .operad import Interval
 from .oracle import TruncationSpec, cohomology_oracle
 from .parser import ParseError, parse_cochain
 from .reduction import Window, normal_form, verify_certificate
-from .scalars import Scalar
 from .weyl import GEOMETRIES, StarAlgebra
 
 
@@ -31,15 +30,6 @@ def _fraction_or_none(text: str) -> Fraction | None:
     if text == "sym":
         return None
     return Fraction(text)
-
-
-def _params(hbar_text: str, alpha_text: str) -> ModelParams:
-    hval = _fraction_or_none(hbar_text)
-    aval = _fraction_or_none(alpha_text)
-    return ModelParams(
-        alpha=Scalar.alpha() if aval is None else Scalar.rational(aval),
-        hbar=Scalar.hbar() if hval is None else Scalar.rational(hval),
-    )
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -109,7 +99,7 @@ def main(argv: list[str] | None = None) -> int:
             return suite_exit_code(results)
 
         if args.command == "nf":
-            params = _params(args.hbar, args.alpha)
+            params = ModelParams.at(_fraction_or_none(args.hbar), _fraction_or_none(args.alpha))
             cert = normal_form(
                 parse_cochain(args.expr),
                 Interval.parse(args.interval),
@@ -122,7 +112,7 @@ def main(argv: list[str] | None = None) -> int:
             return 0 if payload["verified"] else 1
 
         if args.command == "star":
-            params = _params(args.hbar, args.alpha)
+            params = ModelParams.at(_fraction_or_none(args.hbar), _fraction_or_none(args.alpha))
             algebra = StarAlgebra(params, args.geometry)
             x = algebra.class_of(parse_cochain(args.left))
             y = algebra.class_of(parse_cochain(args.right))

@@ -16,6 +16,7 @@ scalars.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Mapping
 
@@ -146,8 +147,14 @@ class Monomial:
         )
         return Monomial(fields, self.antifields)
 
-    def field_sites(self) -> tuple[Site, ...]:
-        return tuple(s for s, _ in self.fields)
+    def raise_field(self, site: Site) -> "Monomial":
+        """Multiply by one delta[site] factor (even, so no sign)."""
+        fields = self.fields
+        i = bisect_left(fields, (site,))
+        if i < len(fields) and fields[i][0] == site:
+            raised = ((site, fields[i][1] + 1),)
+            return Monomial(fields[:i] + raised + fields[i + 1 :], self.antifields)
+        return Monomial(fields[:i] + ((site, 1),) + fields[i:], self.antifields)
 
     def sort_key(self) -> tuple:
         return (self.antifields, self.fields)
@@ -455,14 +462,6 @@ class LatticeFunction:
 
     def support(self) -> set[Site]:
         return set(self._terms)
-
-    def shift(self, n: int) -> "LatticeFunction":
-        """Translate: x -> f(x - n), i.e. move the support by +n."""
-        return wrap(LatticeFunction, {s + n: v for s, v in self._terms.items()})
-
-    def reverse(self) -> "LatticeFunction":
-        """Time reversal: x -> f(-x)."""
-        return wrap(LatticeFunction, {-s: v for s, v in self._terms.items()})
 
     def as_field_cochain(self) -> Cochain:
         """The degree-0 cochain sum f(x) delta[x]."""

@@ -55,38 +55,33 @@ class ModelParams:
     hbar: Scalar
 
     def __post_init__(self):
-        items = list(self.alpha.terms())
-        if len(items) != 1:
-            raise ValueError("alpha must be a single invertible term")
-        ((hp, _ap), _c) = items[0]
-        if hp != 0:
-            raise ValueError("alpha must not involve hbar")
+        self.alpha.inverse()  # raises ValueError unless alpha is a unit
+
+    @classmethod
+    def at(
+        cls, hbar: Fraction | int | None = None, alpha: Fraction | int | None = None
+    ) -> "ModelParams":
+        """hbar and alpha at the given rationals; None keeps the symbolic variable."""
+        return cls(
+            alpha=Scalar.alpha() if alpha is None else Scalar.rational(alpha),
+            hbar=Scalar.hbar() if hbar is None else Scalar.rational(hbar),
+        )
 
     @classmethod
     def symbolic(cls) -> "ModelParams":
-        return cls(alpha=Scalar.alpha(), hbar=Scalar.hbar())
+        return cls.at()
 
     @classmethod
     def massless(cls) -> "ModelParams":
         """alpha := 1 with hbar still a formal variable."""
-        return cls(alpha=Scalar.one(), hbar=Scalar.hbar())
-
-    @classmethod
-    def numeric(cls, hval: Fraction | int, aval: Fraction | int) -> "ModelParams":
-        return cls(alpha=Scalar.rational(aval), hbar=Scalar.rational(hval))
+        return cls.at(alpha=1)
 
     def alpha_power(self, k: int) -> Scalar:
         """alpha^k for any integer k, exact in the ring."""
-        ((_hp, ap), c) = next(iter(self.alpha.terms()))
-        if k >= 0:
-            return self.alpha**k
-        return Scalar({(0, ap * k): Fraction(1) / c**-k})
+        return self.alpha**k if k >= 0 else self.alpha.inverse() ** -k
 
     def alpha_plus_inverse(self) -> Scalar:
         return self.alpha_power(1) + self.alpha_power(-1)
-
-    def key(self) -> tuple:
-        return (self.alpha.key(), self.hbar.key())
 
 
 def laplace(f: LatticeFunction, params: ModelParams) -> LatticeFunction:
@@ -115,12 +110,10 @@ def differential(c: Cochain, params: ModelParams) -> Cochain:
     def images():
         for m, coeff in c.terms():
             for i, s in enumerate(m.antifields):
-                rest = m.antifields[:i] + m.antifields[i + 1 :]
+                reduced = Monomial(m.fields, m.antifields[:i] + m.antifields[i + 1 :])
                 sign_coeff = coeff if i % 2 == 0 else -coeff
                 for site, weight in ((s - 1, one), (s, -ap1), (s + 1, one)):
-                    fields = dict(m.fields)
-                    fields[site] = fields.get(site, 0) + 1
-                    yield Monomial(tuple(sorted(fields.items())), rest), sign_coeff * weight
+                    yield reduced.raise_field(site), sign_coeff * weight
 
     return wrap(Cochain, accumulate({}, images()))
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
+from math import comb
 
 from .cochains import Cochain, Monomial
 from .complexes import ModelParams
@@ -58,7 +59,7 @@ class TruncationSpec:
             raise ValueError("alpha must be specialized to a nonzero rational")
 
     def params(self) -> ModelParams:
-        return ModelParams.numeric(self.hval, self.aval)
+        return ModelParams.at(self.hval, self.aval)
 
 
 def d_quantum_reference(c: Cochain, params: ModelParams) -> Cochain:
@@ -103,9 +104,17 @@ def truncated_basis(
         raise ValueError("dropping the unit is only sound for maxdeg <= 1")
     field_sites = interval.field_sites()
     antifield_sites = interval.antifield_sites()
+    odd_counts = range(min(maxdeg, len(antifield_sites)) + 1)
+    # k odd factors times field monomials of degree <= maxdeg - k, counted
+    # before anything is built
+    size = sum(
+        comb(len(antifield_sites), k) * comb(len(field_sites) + maxdeg - k, maxdeg - k)
+        for k in odd_counts
+    )
+    if size - (not include_unit) > BASIS_GUARD:
+        raise BasisTooLargeError(f"truncated basis exceeds {BASIS_GUARD} monomials")
     basis: dict[int, list[Monomial]] = {}
-    total = 0
-    for k in range(min(maxdeg, len(antifield_sites)) + 1):
+    for k in odd_counts:
         monomials: list[Monomial] = []
         for anti in combinations(antifield_sites, k):
             for fields in _field_monomials(field_sites, maxdeg - k):
@@ -114,11 +123,6 @@ def truncated_basis(
                     continue
                 monomials.append(m)
         monomials.sort(key=Monomial.sort_key)
-        total += len(monomials)
-        if total > BASIS_GUARD:
-            raise BasisTooLargeError(
-                f"truncated basis exceeds {BASIS_GUARD} monomials"
-            )
         if monomials:
             basis[-k] = monomials
     return basis

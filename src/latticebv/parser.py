@@ -18,12 +18,15 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .cochains import Cochain
+from .cochains import Cochain, Monomial
 from .scalars import Scalar
 
-__all__ = ["ParseError", "parse_cochain", "parse_scalar"]
+__all__ = ["ParseError", "parse_cochain", "parse_scalar", "MAX_NESTING"]
 
 _SYMBOLS = set("[]()^*+-/")
+
+# deepest parenthesis nesting accepted; each level costs a few stack frames
+MAX_NESTING = 100
 
 
 class ParseError(ValueError):
@@ -70,6 +73,7 @@ class _Parser:
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.depth = 0
 
     def peek(self) -> tuple[str, str, int]:
         return self.tokens[self.pos]
@@ -147,8 +151,12 @@ class _Parser:
                 return Cochain.antifield(site)
             raise ParseError(f"unknown name {text!r}", pos)
         if kind == "(":
+            if self.depth == MAX_NESTING:
+                raise ParseError(f"parentheses nested deeper than {MAX_NESTING}", pos)
             self.advance()
+            self.depth += 1
             value = self.expr()
+            self.depth -= 1
             self.expect(")")
             return value
         raise ParseError(f"unexpected token {text!r}", pos)
@@ -166,27 +174,14 @@ class _Parser:
     def _power(base: Cochain, exponent: int, position: int) -> Cochain:
         if exponent >= 0:
             return base**exponent
-        inverse = _invert_scalar(base)
-        if inverse is None:
-            raise ParseError("negative exponents need an invertible scalar base", position)
-        return inverse ** (-exponent)
-
-
-def _invert_scalar(c: Cochain) -> Cochain | None:
-    """Invert a one-term hbar-free scalar cochain (e.g. alpha), else None."""
-    terms = list(c.terms())
-    if len(terms) != 1:
-        return None
-    mono, coeff = terms[0]
-    if mono.fields or mono.antifields:
-        return None
-    items = list(coeff.terms())
-    if len(items) != 1:
-        return None
-    ((hp, ap), frac) = items[0]
-    if hp != 0:
-        return None
-    return Cochain.scalar(Scalar({(0, -ap): Fraction(1) / frac}))
+        try:
+            ((mono, coeff),) = base.terms()  # ValueError unless one term
+            if mono != Monomial.UNIT:
+                raise ValueError("not a scalar")
+            inverse = coeff.inverse()
+        except ValueError:
+            raise ParseError("negative exponents need an invertible scalar base", position) from None
+        return Cochain.scalar(inverse ** -exponent)
 
 
 def parse_cochain(text: str) -> Cochain:

@@ -112,13 +112,6 @@ def _occurrence_distances(m: Monomial, window: Window) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _with_field(m: Monomial, site: Site) -> Monomial:
-    """Multiply by delta[site] (even, so no sign)."""
-    fields = dict(m.fields)
-    fields[site] = fields.get(site, 0) + 1
-    return Monomial(tuple(sorted(fields.items())), m.antifields)
-
-
 def rewrite_step(
     m: Monomial,
     site: Site,
@@ -156,7 +149,7 @@ def rewrite_step(
     rest = m.lower_field(site)
     ap1 = params.alpha_plus_inverse()
     # y != mirror because site != y, so the two terms never merge
-    terms = {_with_field(rest, y): ap1, _with_field(rest, mirror): -Scalar.one()}
+    terms = {rest.raise_field(y): ap1, rest.raise_field(mirror): -Scalar.one()}
     derivative = Cochain({rest: Scalar.one()}).partial_field(y)
     replacement = Cochain(terms) - derivative * params.hbar
 

@@ -99,14 +99,30 @@ class Scalar:
     def __pow__(self, n: int) -> "Scalar":
         if not isinstance(n, int) or n < 0:
             raise ValueError("Scalar powers must be non-negative integers")
-        result = Scalar.one()
+        if not n:
+            return Scalar.one()
+        # square-and-multiply without the unit factor or a last, unused square
+        result = None
         base = self
-        while n:
+        while True:
             if n & 1:
-                result = result * base
-            base = base * base
+                result = base if result is None else result * base
             n >>= 1
-        return result
+            if not n:
+                return result
+            base = base * base
+
+    def inverse(self) -> "Scalar":
+        """The inverse of a unit: a single term c*alpha^k with no hbar.
+
+        >>> print((Scalar.alpha(-2) * 3).inverse())
+        1/3*alpha^2
+        """
+        if len(self._terms) == 1:
+            (((hp, ap), c),) = self._terms.items()
+            if not hp:
+                return wrap(Scalar, {(0, -ap): 1 / c})
+        raise ValueError(f"{self} is not a unit: units are single terms without hbar")
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, (int, Fraction)):
@@ -130,9 +146,6 @@ class Scalar:
     @property
     def is_alpha_free(self) -> bool:
         return all(ap == 0 for (_, ap) in self._terms)
-
-    def coefficient(self, hbar_power: int, alpha_power: int) -> Fraction:
-        return self._terms.get((hbar_power, alpha_power), Fraction(0))
 
     def terms(self) -> Iterable[tuple[tuple[int, int], Fraction]]:
         return self._terms.items()
@@ -202,13 +215,7 @@ def mass_squared(aval: "Scalar | RationalLike") -> Scalar:
     9/4
     """
     a = as_scalar(aval)
-    if len(a._terms) != 1:
-        raise ValueError("alpha weight must be a single invertible term")
-    ((hp, ap), c) = next(iter(a._terms.items()))
-    if hp != 0:
-        raise ValueError("alpha weight must not involve hbar")
-    inverse = Scalar({(0, -ap): Fraction(1) / c})
-    return a + inverse - Scalar.rational(2)
+    return a + a.inverse() - Scalar.rational(2)
 
 
 ZERO = Scalar.zero()

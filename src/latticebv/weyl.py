@@ -16,7 +16,8 @@ of basis is invertible over the coefficient ring without any division.
 
 Also implemented: the normal-ordered Weyl algebra itself, the translation
 (time evolution) automorphism, the site-negation anti-involution, and the
-Fock module K[q] obtained by quotienting by the left ideal generated by p.
+Fock module K[q] = Weyl / Weyl p, whose vectors are the p-free Weyl
+elements representing their classes.
 """
 
 from __future__ import annotations
@@ -41,7 +42,6 @@ __all__ = [
     "StarAlgebra",
     "time_evolution",
     "time_reversal_weyl",
-    "FockVector",
     "fock_action",
     "fock_projection",
 ]
@@ -124,12 +124,6 @@ class WeylElement:
 
     def coefficient(self, q_power: int, p_power: int) -> Scalar:
         return self._terms.get((q_power, p_power), Scalar.zero())
-
-    def total_degree(self) -> int:
-        return max((a + b for a, b in self._terms), default=0)
-
-    def key(self) -> tuple:
-        return tuple(sorted((k, c.key()) for k, c in self._terms.items()))
 
     def __str__(self) -> str:
         ordered = sorted(self._terms, key=lambda k: (-(k[0] + k[1]), -k[0]))
@@ -424,72 +418,23 @@ def time_reversal_weyl(w: WeylElement) -> WeylElement:
     return out
 
 
-class FockVector:
-    """Element of the Fock module K[q] = Weyl / (left ideal generated by p)."""
+def fock_projection(w: WeylElement) -> WeylElement:
+    """The quotient map onto the Fock module K[q] = Weyl / Weyl p.
 
-    __slots__ = ("_terms",)
-
-    def __init__(self, coeffs: Mapping[int, Scalar | int | Fraction] | None = None):
-        self._terms = canonical(coeffs, as_scalar, int)
-
-    @classmethod
-    def zero(cls) -> "FockVector":
-        return cls()
-
-    @classmethod
-    def basis(cls, n: int) -> "FockVector":
-        """The vector q^n."""
-        return cls({n: 1})
-
-    def __add__(self, other: "FockVector") -> "FockVector":
-        return wrap(FockVector, accumulate(dict(self._terms), other._terms.items()))
-
-    def __sub__(self, other: "FockVector") -> "FockVector":
-        return self + wrap(FockVector, {n: -c for n, c in other._terms.items()})
-
-    def __mul__(self, factor: Scalar | int | Fraction) -> "FockVector":
-        factor = as_scalar(factor)
-        return wrap(FockVector, scale(self._terms, factor))
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, FockVector):
-            return NotImplemented
-        return self._terms == other._terms
-
-    @property
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def coefficient(self, n: int) -> Scalar:
-        return self._terms.get(n, Scalar.zero())
-
-    def terms(self):
-        return self._terms.items()
-
-    def __str__(self) -> str:
-        ordered = sorted(self._terms.items(), reverse=True)
-        return " + ".join(f"({c})*{power('q', n) or '1'}" for n, c in ordered) or "0"
-
-    def __repr__(self) -> str:
-        return f"FockVector({self})"
+    A normal-ordered term q^a p^b with b > 0 lies in the left ideal Weyl p,
+    and the terms with b = 0 are independent modulo it, so the class of w is
+    represented by its p-free part.
+    """
+    return wrap(WeylElement, {k: c for k, c in w.terms() if not k[1]})
 
 
-def fock_projection(w: WeylElement) -> FockVector:
-    """Reduce a normal-ordered Weyl element modulo the left ideal (p)."""
-    return FockVector({a: c for (a, b), c in w.terms() if b == 0})
+def fock_action(w: WeylElement, v: WeylElement) -> WeylElement:
+    """The left action of the Weyl algebra on K[q]: the class of w * v.
 
-
-def fock_action(w: WeylElement, v: FockVector) -> FockVector:
-    """The left action of the Weyl algebra on K[q].
-
+    Well defined on classes: every normal-ordered term of x * p carries a
+    p factor, so w * (v + x * p) projects like w * v.  In particular
     q * q^n = q^(n+1) and p * q^n = n hbar q^(n-1); the hbar factor is
     forced by p q - q p = hbar over the polynomial coefficient ring, and the
     specialization hbar := 1 recovers the plain n q^(n-1) action.
     """
-    out = FockVector.zero()
-    for n, vc in v.terms():
-        product = w * WeylElement.q(n)
-        out = out + fock_projection(product) * vc
-    return out
+    return fock_projection(w * v)

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from latticebv import checks
 from latticebv.checks import (
     CHECK_IDS,
     CheckConfig,
@@ -90,6 +91,21 @@ def test_reports_and_exit_codes():
     assert suite_exit_code(failed) == 1
     with pytest.raises(ValueError):
         emit_report(results, "xml")
+
+
+def test_crashing_check_is_reported_as_error(monkeypatch):
+    def crash(_config):
+        return 1 // 0
+
+    monkeypatch.setitem(checks._BY_ID, "kernel-functions", ("crashes", crash))
+    results = run_suite(["kernel-functions", "chain-level-product"])
+    assert [r.status for r in results] == ["error", "pass"]
+    assert results[0].witness == {
+        "error": "ZeroDivisionError",
+        "message": "integer division or modulo by zero",
+    }
+    assert "1/2 checks passed" in emit_report(results, "text")
+    assert suite_exit_code(results) == 1
 
 
 def test_empty_selection():

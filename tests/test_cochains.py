@@ -182,8 +182,6 @@ def test_lattice_function_views():
     f = LatticeFunction({0: 2, 3: -1})
     assert f.as_field_cochain() == d(0) * 2 - d(3)
     assert f.as_antifield_cochain() == bd(0) * 2 - bd(3)
-    assert f.shift(2).support() == {2, 5}
-    assert f.reverse().support() == {0, -3}
     assert (f - f).is_zero
 
 
@@ -192,3 +190,13 @@ def test_lattice_function_views():
 def test_scalar_embedding(s):
     assert Cochain.scalar(s) * Cochain.one() == Cochain.scalar(s)
     assert (Cochain.scalar(s) - Cochain.scalar(s)).is_zero
+
+
+def test_raise_field_inverts_lower_field():
+    m = Monomial.make({-2: 1, 3: 2}, (0, 4))
+    for site, fields in ((-5, {-5: 1, -2: 1, 3: 2}), (-2, {-2: 2, 3: 2}), (1, {-2: 1, 1: 1, 3: 2}),
+                         (3, {-2: 1, 3: 3}), (7, {-2: 1, 3: 2, 7: 1})):
+        raised = m.raise_field(site)
+        assert raised == Monomial.make(fields, (0, 4))
+        assert raised.lower_field(site) == m
+    assert Monomial.UNIT.raise_field(0) == Monomial.make({0: 1})

@@ -35,7 +35,7 @@ def test_params_validation():
         ModelParams(alpha=HBAR, hbar=HBAR)
     with pytest.raises(ValueError):
         ModelParams(alpha=ALPHA + Scalar.one(), hbar=HBAR)
-    assert ModelParams.numeric(1, 2).alpha_power(-1) == Scalar.rational(Fraction(1, 2))
+    assert ModelParams.at(1, 2).alpha_power(-1) == Scalar.rational(Fraction(1, 2))
     assert SYMBOLIC.alpha_power(-3) == Scalar.alpha(-3)
 
 

@@ -94,7 +94,7 @@ def test_matrix_rank_small_cases():
 
 def test_reference_differential_agrees_with_main():
     rng = random.Random(17)
-    for params in (ModelParams.symbolic(), ModelParams.massless(), ModelParams.numeric(1, 2)):
+    for params in (ModelParams.symbolic(), ModelParams.massless(), ModelParams.at(1, 2)):
         for _ in range(60):
             c = seeded_cochain(rng)
             assert d_quantum_reference(c, params) == d_quantum(c, params)
@@ -106,3 +106,26 @@ def test_reference_differential_squares_to_zero():
     for _ in range(40):
         c = seeded_cochain(rng)
         assert d_quantum_reference(d_quantum_reference(c, params), params).is_zero
+
+
+def test_basis_guard_counts_before_building(monkeypatch):
+    def forbidden(*_args):
+        raise AssertionError("the basis was built before the size guard")
+
+    monkeypatch.setattr(oracle, "_field_monomials", forbidden)
+    with pytest.raises(BasisTooLargeError):
+        truncated_basis(Interval(0, 200), 3)
+
+
+@pytest.mark.parametrize("include_unit", [True, False])
+def test_basis_size_formula_matches_the_built_basis(include_unit, monkeypatch):
+    # a guard one below the true size must reject, the true size must pass
+    for interval in (Interval(0, 3), Interval(0, 5), Interval(-3, 4), Interval(0, F(9, 2))):
+        for maxdeg in range(0, 5 if include_unit else 2):
+            size = sum(map(len, truncated_basis(interval, maxdeg, include_unit).values()))
+            monkeypatch.setattr(oracle, "BASIS_GUARD", size - 1)
+            with pytest.raises(BasisTooLargeError):
+                truncated_basis(interval, maxdeg, include_unit)
+            monkeypatch.setattr(oracle, "BASIS_GUARD", size)
+            truncated_basis(interval, maxdeg, include_unit)
+            monkeypatch.undo()

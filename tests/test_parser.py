@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 
 from latticebv.cochains import Cochain
-from latticebv.parser import ParseError, parse_cochain, parse_scalar
+from latticebv.cli import main
+from latticebv.parser import MAX_NESTING, ParseError, parse_cochain, parse_scalar
 from latticebv.scalars import ALPHA, HBAR, Scalar
 
 from strategies import cochains, scalars
@@ -83,3 +84,16 @@ def test_round_trip_seeded_bulk():
     for _ in range(200):
         c = seeded_cochain(rng, min_site=-6, max_site=6, max_poly_degree=4)
         assert parse_cochain(str(c)) == c
+
+
+def test_nesting_limit():
+    deep = "(" * MAX_NESTING + "delta[0]" + ")" * MAX_NESTING
+    assert parse_cochain(deep) == d(0)
+    with pytest.raises(ParseError) as err:
+        parse_cochain("(" + deep + ")")
+    assert err.value.position == MAX_NESTING
+
+
+def test_cli_rejects_deep_nesting(capsys):
+    assert main(["parse", "(" * 1200 + "1" + ")" * 1200]) == 2
+    assert "nested deeper" in capsys.readouterr().err

@@ -106,3 +106,20 @@ def test_rendering_is_deterministic():
     x = HBAR * ALPHA - Scalar.alpha(-1) * Fraction(3, 2) + ONE
     assert str(x) == "-3/2*alpha^-1 + 1 + hbar*alpha"
     assert str(ZERO) == "0"
+
+
+def test_powers_match_repeated_products():
+    x = ALPHA + HBAR * Fraction(1, 2) - Scalar.alpha(-1)
+    product = ONE
+    for n in range(9):
+        assert x**n == product
+        product = product * x
+
+
+def test_inverse_of_units():
+    assert ALPHA.inverse() == Scalar.alpha(-1)
+    assert (Scalar.alpha(-2) * Fraction(-3, 4)).inverse() == Scalar.alpha(2) * Fraction(-4, 3)
+    assert Scalar.rational(5).inverse() * 5 == ONE
+    for non_unit in (ZERO, HBAR, ALPHA + ONE, HBAR * ALPHA):
+        with pytest.raises(ValueError):
+            non_unit.inverse()

@@ -8,7 +8,6 @@ from latticebv.complexes import ModelParams
 from latticebv.reduction import verify_certificate
 from latticebv.scalars import HBAR, Scalar
 from latticebv.weyl import (
-    FockVector,
     GEOMETRIES,
     H0Class,
     StarAlgebra,
@@ -220,15 +219,19 @@ def test_class_level_time_reversal_matches():
 
 
 def test_fock_action_examples():
-    assert fock_action(WeylElement.q(), FockVector.basis(3)) == FockVector.basis(4)
-    assert fock_action(WeylElement.p(), FockVector.basis(3)) == FockVector({2: HBAR * 3})
-    assert fock_action(WeylElement.p(), FockVector.basis(0)).is_zero
+    assert fock_action(WeylElement.q(), WeylElement.q(3)) == WeylElement.q(4)
+    assert fock_action(WeylElement.p(), WeylElement.q(3)) == WeylElement({(2, 0): HBAR * 3})
+    assert fock_action(WeylElement.p(), WeylElement.q(0)).is_zero
+    # the action depends only on the class: p-terms of the vector drop out
+    v = WeylElement.q(3) + WeylElement.q() * WeylElement.p(2)
+    assert fock_action(WeylElement.p(), v) == fock_action(WeylElement.p(), WeylElement.q(3))
+    assert fock_projection(v) == WeylElement.q(3)
 
 
 def test_fock_matches_unit_hbar_display():
     for n in range(1, 11):
-        got = fock_action(WeylElement.p(), FockVector.basis(n))
-        assert got.coefficient(n - 1).specialize(1, 1) == Fraction(n)
+        got = fock_action(WeylElement.p(), WeylElement.q(n))
+        assert got.coefficient(n - 1, 0).specialize(1, 1) == Fraction(n)
 
 
 def test_fock_module_axioms():
@@ -236,13 +239,13 @@ def test_fock_module_axioms():
     for _ in range(40):
         w1 = WeylElement({(rng.randint(0, 2), rng.randint(0, 2)): rng.randint(1, 3)})
         w2 = WeylElement({(rng.randint(0, 2), rng.randint(0, 2)): rng.randint(1, 3)})
-        v = FockVector({rng.randint(0, 4): rng.randint(1, 3)})
+        v = WeylElement({(rng.randint(0, 4), 0): rng.randint(1, 3)})
         assert fock_action(w1 * w2, v) == fock_action(w1, fock_action(w2, v))
 
 
 def test_fock_commutation():
     for n in range(5):
-        v = FockVector.basis(n)
+        v = WeylElement.q(n)
         pq = fock_action(WeylElement.p(), fock_action(WeylElement.q(), v))
         qp = fock_action(WeylElement.q(), fock_action(WeylElement.p(), v))
         assert pq - qp == v * HBAR
