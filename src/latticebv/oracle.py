@@ -4,9 +4,9 @@ The span of monomials of total polynomial degree at most N is a subcomplex
 (the classical differential preserves the degree, the odd Laplacian lowers
 it by two), so truncating is sound without any spectral-sequence argument.
 The oracle builds the matrix of the specialized quantum differential on the
-truncated monomial basis of an interval and computes ranks and kernels over
-the rationals, giving cohomology dimensions that are independent of the
-rewriting engine.
+truncated monomial basis of an interval as sparse rows and computes its
+exact rank over the rationals by fraction-free elimination, giving
+cohomology dimensions that are independent of the rewriting engine.
 
 This module also hosts a second, independently coded evaluation path for the
 quantum differential (assembled from the public derivative operations rather
@@ -18,8 +18,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations, combinations_with_replacement
-from math import comb
+from math import comb, gcd, lcm
+from typing import Iterable, Mapping
 
 from .cochains import Cochain, Monomial
 from .complexes import ModelParams
@@ -128,62 +130,73 @@ def truncated_basis(
     return basis
 
 
-def matrix_rank(rows: list[list[Fraction]]) -> int:
-    """Exact rank by fraction-free-enough Gaussian elimination."""
-    rows = [row[:] for row in rows if any(row)]
-    if not rows:
-        return 0
-    ncols = len(rows[0])
-    rank = 0
-    for col in range(ncols):
-        pivot = None
-        for r in range(rank, len(rows)):
-            if rows[r][col]:
-                pivot = r
+def matrix_rank(rows: Iterable[Mapping[int, Fraction | int]]) -> int:
+    """Exact rank over the rationals of sparse rows ``{column: entry}``.
+
+    One fraction-free echelon pass in the style of Bareiss (Math. Comp. 22,
+    1968), on integers only.  Each row is multiplied by the lcm of its
+    denominators and then reduced against the pivot rows kept so far, which
+    are keyed by their leading (smallest) column: with ``p`` the pivot for
+    the row's leading column and ``g = gcd(p[lead], r[lead])``, the step is
+    ``r = (p[lead] / g) * r - (r[lead] / g) * p``, after which ``r`` is
+    divided by the gcd of its entries.  A row that does not reduce to zero
+    becomes a new pivot; the rank is the number of pivots.
+    """
+    pivots: dict[int, dict[int, int]] = {}
+    # reduce rather than gcd(*values): CPython 3.11 files each freed
+    # 20-element tuple in a free list it never takes them back from, so
+    # star-args over rows keep up to 400 KB alive
+    for row in rows:
+        den = reduce(lcm, (v.denominator for v in row.values()), 1)
+        r = {c: v.numerator * (den // v.denominator) for c, v in row.items() if v}
+        while r:
+            content = reduce(gcd, r.values())
+            if content != 1:
+                r = {c: v // content for c, v in r.items()}
+            lead = min(r)
+            p = pivots.get(lead)
+            if p is None:
+                pivots[lead] = r
                 break
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = Fraction(1) / rows[rank][col]
-        rows[rank] = [v * inv for v in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col]:
-                factor = rows[r][col]
-                rows[r] = [v - factor * w for v, w in zip(rows[r], rows[rank])]
-        rank += 1
-        if rank == len(rows):
-            break
-    return rank
+            g = gcd(p[lead], r[lead])
+            a, b = p[lead] // g, r[lead] // g
+            if a != 1:
+                r = {c: a * v for c, v in r.items()}
+            for c, v in p.items():
+                x = r.get(c, 0) - b * v
+                if x:
+                    r[c] = x
+                else:
+                    r.pop(c, None)
+    return len(pivots)
 
 
 def _differential_columns(
     domain: list[Monomial],
     codomain_index: dict[Monomial, int],
     spec: TruncationSpec,
-) -> list[list[Fraction]]:
-    """Images of the domain basis under the specialized d_h, as coordinate rows."""
+) -> list[dict[int, Fraction]]:
+    """Images of the domain basis under the specialized d_h, as sparse rows."""
     params = spec.params()
-    columns: list[list[Fraction]] = []
-    size = len(codomain_index)
+    columns: list[dict[int, Fraction]] = []
     for m in domain:
         image = d_quantum_reference(Cochain({m: 1}), params)
-        column = [Fraction(0)] * size
-        for mono, coeff in image.terms():
-            column[codomain_index[mono]] = coeff.specialize(spec.hval, spec.aval)
-        columns.append(column)
+        columns.append(
+            {codomain_index[mono]: coeff.specialize(spec.hval, spec.aval) for mono, coeff in image.terms()}
+        )
     return columns
 
 
 def _truncated_complex(
     spec: TruncationSpec, include_unit: bool = True
-) -> tuple[dict[int, list[Monomial]], dict[int, list[list[Fraction]]], dict[int, int]]:
-    """The truncated complex: basis, coordinate columns of d_h and their ranks.
+) -> tuple[dict[int, list[Monomial]], dict[int, list[dict[int, Fraction]]], dict[int, int]]:
+    """The truncated complex: basis, sparse coordinate columns of d_h and their ranks.
 
     ``columns[g]`` and ``ranks[g]`` describe d_h from degree g to g + 1 and
     are present only where both degrees have a basis.
     """
     basis = truncated_basis(spec.interval, spec.maxdeg, include_unit)
-    columns: dict[int, list[list[Fraction]]] = {}
+    columns: dict[int, list[dict[int, Fraction]]] = {}
     ranks: dict[int, int] = {}
     for g, monomials in basis.items():
         if g + 1 in basis:
@@ -236,12 +249,7 @@ def h0_inclusion_is_iso(
         return False
 
     outer_zero_index = {m: i for i, m in enumerate(outer_basis[0])}
-    size = len(outer_zero_index)
-    inclusion_columns: list[list[Fraction]] = []
-    for m in inner_basis[0]:
-        column = [Fraction(0)] * size
-        column[outer_zero_index[m]] = Fraction(1)
-        inclusion_columns.append(column)
+    inclusion_columns = [{outer_zero_index[m]: 1} for m in inner_basis[0]]
 
     image_columns = outer_columns.get(-1, [])
     combined = matrix_rank(image_columns + inclusion_columns)

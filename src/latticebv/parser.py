@@ -11,22 +11,32 @@ The grammar accepted (whitespace insignificant):
 
 Example: ``3*delta[0]*delta[1] - 2*hbar*bdelta[2]``.  Negative exponents are
 only meaningful on invertible scalars (``alpha^-1``).  The renderers in this
-package emit exactly this grammar, so parse and print round-trip.
+package emit exactly this grammar, so parse and print round-trip.  Nesting
+depth, exponent size and the term bound of a power are capped by
+``MAX_NESTING``, ``MAX_EXPONENT`` and ``MAX_POWER_TERMS``; input beyond them
+raises ``ParseError`` before the work is done.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb
 
 from .cochains import Cochain, Monomial
 from .scalars import Scalar
 
-__all__ = ["ParseError", "parse_cochain", "parse_scalar", "MAX_NESTING"]
+__all__ = ["ParseError", "parse_cochain", "parse_scalar", "MAX_NESTING", "MAX_EXPONENT", "MAX_POWER_TERMS"]
 
 _SYMBOLS = set("[]()^*+-/")
 
 # deepest parenthesis nesting accepted; each level costs a few stack frames
 MAX_NESTING = 100
+
+# largest exponent magnitude accepted; a power multiplies one factor at a time
+MAX_EXPONENT = 256
+
+# largest term count a power may reach, bounded before any multiplication
+MAX_POWER_TERMS = 10000
 
 
 class ParseError(ValueError):
@@ -172,7 +182,14 @@ class _Parser:
 
     @staticmethod
     def _power(base: Cochain, exponent: int, position: int) -> Cochain:
+        if abs(exponent) > MAX_EXPONENT:
+            raise ParseError(f"exponent {exponent} exceeds {MAX_EXPONENT} in magnitude", position)
         if exponent >= 0:
+            # a power of a sum of t rational multiples of hbar^i*alpha^j times
+            # a monomial has at most one term per multiset of n of them
+            t = sum(len(coeff.terms()) for _, coeff in base.terms())
+            if exponent > 1 and comb(t + exponent - 1, exponent) > MAX_POWER_TERMS:
+                raise ParseError(f"power may exceed {MAX_POWER_TERMS} terms", position)
             return base**exponent
         try:
             ((mono, coeff),) = base.terms()  # ValueError unless one term

@@ -87,9 +87,78 @@ def test_truncation_degrees():
 
 def test_matrix_rank_small_cases():
     assert matrix_rank([]) == 0
-    assert matrix_rank([[F(0), F(0)]]) == 0
-    assert matrix_rank([[F(1), F(2)], [F(2), F(4)]]) == 1
-    assert matrix_rank([[F(1), F(0)], [F(1), F(1)], [F(0), F(1)]]) == 2
+    assert matrix_rank([{}]) == 0
+    assert matrix_rank([{0: F(0)}, {1: F(0)}]) == 0  # explicit zero entries
+    assert matrix_rank([{0: F(1), 1: F(2)}, {0: F(2), 1: F(4)}]) == 1
+    assert matrix_rank([{0: F(1)}, {0: F(1), 1: F(1)}, {1: F(1)}]) == 2
+    assert matrix_rank([{0: F(1), 1: F(0)}, {1: F(3, 2)}]) == 2
+
+
+def _dense_rank(rows, ncols):
+    """Textbook Gauss elimination over Fraction, for comparison only."""
+    matrix = [[F(row.get(c, 0)) for c in range(ncols)] for row in rows]
+    rank = 0
+    for col in range(ncols):
+        pivot = next((r for r in range(rank, len(matrix)) if matrix[r][col]), None)
+        if pivot is None:
+            continue
+        matrix[rank], matrix[pivot] = matrix[pivot], matrix[rank]
+        for r in range(rank + 1, len(matrix)):
+            factor = matrix[r][col] / matrix[rank][col]
+            matrix[r] = [v - factor * w for v, w in zip(matrix[r], matrix[rank])]
+        rank += 1
+    return rank
+
+
+def _random_rational(rng):
+    return F(rng.randint(-9, 9), rng.choice((1, 1, 2, 3, 7, 12, 35)))
+
+
+def _random_sparse_matrix(rng):
+    ncols = rng.randint(1, 9)
+    rows = []
+    for _ in range(rng.randint(0, 10)):
+        kind = rng.random()
+        if kind < 0.1 or not rows:
+            rows.append({c: _random_rational(rng) for c in range(ncols) if rng.random() < 0.5})
+        elif kind < 0.2:
+            rows.append({})
+        elif kind < 0.3:
+            rows.append(dict(rng.choice(rows)))
+        else:
+            # a rational combination of earlier rows, so the matrix is rank-deficient
+            combo: dict[int, F] = {}
+            for row in rng.sample(rows, rng.randint(1, len(rows))):
+                factor = _random_rational(rng)
+                for c, v in row.items():
+                    combo[c] = combo.get(c, 0) + factor * v
+            rows.append(combo)
+    if rows and rng.random() < 0.5:
+        rows.append({c: _random_rational(rng) for c in range(ncols)})
+    rng.shuffle(rows)
+    return rows, ncols
+
+
+def test_matrix_rank_matches_dense_elimination():
+    rng = random.Random(23)
+    seen = Counter()
+    for _ in range(400):
+        rows, ncols = _random_sparse_matrix(rng)
+        expected = _dense_rank(rows, ncols)
+        assert matrix_rank(rows) == expected
+        seen["deficient" if expected < len(rows) else "full"] += 1
+    assert seen["deficient"] > 100 and seen["full"] > 50
+
+
+def test_maxdeg_four_dimensions():
+    dims = cohomology_oracle(TruncationSpec(Interval(-3, 4), 4, F(1), F(2)))
+    assert dims[0] == 15
+    assert all(dim == 0 for g, dim in dims.items() if g < 0)
+    assert min(dims) == -4
+
+
+def test_maxdeg_four_inclusion():
+    assert h0_inclusion_is_iso(Interval(-2, 3), Interval(-3, 4), 4, 1, 2)
 
 
 def test_reference_differential_agrees_with_main():

@@ -4,9 +4,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 
+from latticebv import parser
 from latticebv.cochains import Cochain
 from latticebv.cli import main
-from latticebv.parser import MAX_NESTING, ParseError, parse_cochain, parse_scalar
+from latticebv.parser import MAX_EXPONENT, MAX_NESTING, ParseError, parse_cochain, parse_scalar
 from latticebv.scalars import ALPHA, HBAR, Scalar
 
 from strategies import cochains, scalars
@@ -97,3 +98,47 @@ def test_nesting_limit():
 def test_cli_rejects_deep_nesting(capsys):
     assert main(["parse", "(" * 1200 + "1" + ")" * 1200]) == 2
     assert "nested deeper" in capsys.readouterr().err
+
+
+def test_exponent_limit():
+    assert parse_cochain(f"delta[0]^{MAX_EXPONENT}") == d(0) ** MAX_EXPONENT
+    assert parse_scalar(f"alpha^-{MAX_EXPONENT}") == Scalar.alpha(-MAX_EXPONENT)
+    for text in (f"delta[0]^{MAX_EXPONENT + 1}", f"2*alpha^-{MAX_EXPONENT + 1}"):
+        with pytest.raises(ParseError) as err:
+            parse_cochain(text)
+        assert err.value.position == text.index("^")
+
+
+@pytest.mark.parametrize(
+    "text, terms",
+    [
+        # three fields to the fourth: one term per multiset, comb(3 + 4 - 1, 4)
+        ("(delta[0] + delta[1] + delta[2])^4", 15),
+        # a scalar coefficient counts each of its terms
+        ("((1 + hbar)*delta[0])^3", 4),
+        ("(alpha + alpha^-1 + 2)^5", 21),
+    ],
+)
+def test_power_term_limit_is_the_multiset_count(text, terms, monkeypatch):
+    value = parse_cochain(text)
+    assert sum(len(coeff.terms()) for _, coeff in value.terms()) <= terms
+    monkeypatch.setattr(parser, "MAX_POWER_TERMS", terms)
+    assert parse_cochain(text) == value
+    monkeypatch.setattr(parser, "MAX_POWER_TERMS", terms - 1)
+    with pytest.raises(ParseError) as err:
+        parse_cochain(text)
+    assert err.value.position == text.rindex("^")
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "delta[0]^100000000",
+        "(1+hbar)^100000",
+        "((1+hbar)^200)^200",
+        "(delta[0]+delta[1]+delta[2]+delta[3]+delta[4])^200",
+    ],
+)
+def test_cli_rejects_huge_powers(text, capsys):
+    assert main(["parse", text]) == 2
+    assert "exceed" in capsys.readouterr().err
