@@ -1,18 +1,20 @@
 """Sparse linear combinations: the one mechanism behind every term map.
 
 A :class:`~latticebv.scalars.Scalar` maps ``(hbar_power, alpha_power)`` to
-rationals; a ``Cochain`` maps monomials, a ``LatticeFunction`` sites and a
-``WeylElement`` ``(q_power, p_power)`` to scalars.  Each of the four stores
-a dict ``_terms`` from key to nonzero coefficient, and this module holds
-what they share: building that dict from arbitrary input
-(:func:`canonical`), adding terms into it so that a key whose coefficients
-cancel disappears (:func:`accumulate`), scaling it (:func:`scale`),
-wrapping a dict that is already canonical (:func:`wrap`), and rendering a
-sum of coefficient-times-basis terms in the parser's grammar
-(:func:`render`).
+integer numerators over one shared denominator; a ``Cochain`` maps
+monomials, a ``LatticeFunction`` sites and a ``WeylElement``
+``(q_power, p_power)`` to scalars.  Each of the four stores a dict
+``_terms`` from key to nonzero coefficient, and this module holds what they
+share: building that dict from arbitrary input (:func:`canonical`), adding
+terms into it so that a key whose coefficients cancel disappears
+(:func:`accumulate`), scaling it (:func:`scale`), wrapping a dict that is
+already canonical (:func:`wrap`; a ``Scalar`` also needs its denominator
+and has its own), and rendering a sum of coefficient-times-basis terms in
+the parser's grammar (:func:`render`).
 
-A coefficient is a ``Fraction`` or a ``Scalar``; both are false exactly when
-they are zero, so one truth test serves every class.
+A stored coefficient is an ``int`` numerator or a ``Scalar``, and a rendered
+one a ``Fraction`` or a ``Scalar``; each is false exactly when it is zero,
+so one truth test serves every class.
 """
 
 from __future__ import annotations
@@ -101,10 +103,10 @@ def render(items: Iterable[tuple[Hashable, object]], name: Callable[[Hashable], 
     for k, c in items:
         basis = name(k)
         if not isinstance(c, Fraction):
-            if len(c._terms) > 1:  # its signs stay inside the parentheses
+            if len(c) > 1:  # its signs stay inside the parentheses
                 c, basis = 1, product(f"({c})", basis)
             else:
-                ((scalar_key, c),) = c._terms.items()
+                ((scalar_key, c),) = c.terms()
                 basis = product(hbar_alpha(scalar_key), basis)
         magnitude = abs(c)
         body = product("" if magnitude == 1 and basis else str(magnitude), basis)

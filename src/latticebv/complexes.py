@@ -19,7 +19,7 @@ cohomology classifier ``phi`` built from them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from ._sparse import accumulate, wrap
@@ -53,9 +53,11 @@ class ModelParams:
 
     alpha: Scalar
     hbar: Scalar
+    _alpha_plus_inverse: Scalar = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.alpha.inverse()  # raises ValueError unless alpha is a unit
+        inverse = self.alpha.inverse()  # raises ValueError unless alpha is a unit
+        object.__setattr__(self, "_alpha_plus_inverse", self.alpha + inverse)
 
     @classmethod
     def at(
@@ -81,7 +83,7 @@ class ModelParams:
         return self.alpha**k if k >= 0 else self.alpha.inverse() ** -k
 
     def alpha_plus_inverse(self) -> Scalar:
-        return self.alpha_power(1) + self.alpha_power(-1)
+        return self._alpha_plus_inverse
 
 
 def laplace(f: LatticeFunction, params: ModelParams) -> LatticeFunction:

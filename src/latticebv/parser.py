@@ -12,9 +12,9 @@ The grammar accepted (whitespace insignificant):
 Example: ``3*delta[0]*delta[1] - 2*hbar*bdelta[2]``.  Negative exponents are
 only meaningful on invertible scalars (``alpha^-1``).  The renderers in this
 package emit exactly this grammar, so parse and print round-trip.  Nesting
-depth, exponent size and the term bound of a power are capped by
-``MAX_NESTING``, ``MAX_EXPONENT`` and ``MAX_POWER_TERMS``; input beyond them
-raises ``ParseError`` before the work is done.
+depth and exponent size are capped by ``MAX_NESTING`` and ``MAX_EXPONENT``,
+and ``MAX_POWER_TERMS`` caps the term bound of a power and of a product;
+input beyond them raises ``ParseError`` before the work is done.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ MAX_NESTING = 100
 # largest exponent magnitude accepted; a power multiplies one factor at a time
 MAX_EXPONENT = 256
 
-# largest term count a power may reach, bounded before any multiplication
+# largest term count a power or a product may reach, bounded before it is multiplied out
 MAX_POWER_TERMS = 10000
 
 
@@ -117,8 +117,12 @@ class _Parser:
     def term(self) -> Cochain:
         value = self.factor()
         while self.peek()[0] == "*":
-            self.advance()
-            value = value * self.factor()
+            star = self.advance()
+            rhs = self.factor()
+            # a product has at most one term per pair of factor terms
+            if _term_count(value) * _term_count(rhs) > MAX_POWER_TERMS:
+                raise ParseError(f"product may exceed {MAX_POWER_TERMS} terms", star[2])
+            value = value * rhs
         return value
 
     def factor(self) -> Cochain:
@@ -185,9 +189,8 @@ class _Parser:
         if abs(exponent) > MAX_EXPONENT:
             raise ParseError(f"exponent {exponent} exceeds {MAX_EXPONENT} in magnitude", position)
         if exponent >= 0:
-            # a power of a sum of t rational multiples of hbar^i*alpha^j times
-            # a monomial has at most one term per multiset of n of them
-            t = sum(len(coeff.terms()) for _, coeff in base.terms())
+            # a power of a sum of t terms has at most one term per multiset of n of them
+            t = _term_count(base)
             if exponent > 1 and comb(t + exponent - 1, exponent) > MAX_POWER_TERMS:
                 raise ParseError(f"power may exceed {MAX_POWER_TERMS} terms", position)
             return base**exponent
@@ -199,6 +202,11 @@ class _Parser:
         except ValueError:
             raise ParseError("negative exponents need an invertible scalar base", position) from None
         return Cochain.scalar(inverse ** -exponent)
+
+
+def _term_count(c: Cochain) -> int:
+    """The terms of ``c``, each rational multiple of hbar^i*alpha^j times a monomial counted once."""
+    return sum(len(coeff) for _, coeff in c.terms())
 
 
 def parse_cochain(text: str) -> Cochain:

@@ -7,17 +7,20 @@ the rationals.  ``hbar`` is a genuine polynomial variable (never inverted);
 ``alpha := 1``, in which case ``alpha + alpha^-1 - 2`` (the mass squared)
 vanishes.
 
-Scalars are immutable and canonical: a zero coefficient is never stored, so
-structural equality of the term maps is ring equality.  All arithmetic is
-exact (``fractions.Fraction``); no floating point is used anywhere.
+A scalar is stored as integer numerators over one shared positive
+denominator, kept canonical: no zero numerator is stored, the denominator
+and the numerators have no common factor, and zero is the empty map over 1.
+Structural equality is therefore ring equality.  All arithmetic is exact
+integer arithmetic; no floating point is used anywhere.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Mapping, Union
+from math import gcd
+from typing import Mapping, Union
 
-from ._sparse import accumulate, canonical, hbar_alpha, render, wrap
+from ._sparse import accumulate, canonical, hbar_alpha, render
 
 RationalLike = Union[int, Fraction]
 
@@ -28,50 +31,76 @@ class Scalar:
     """Element of Q[hbar][alpha, alpha^-1] as a sparse term map.
 
     Terms are keyed by ``(hbar_power, alpha_power)`` with ``hbar_power >= 0``
-    and ``alpha_power`` any integer; values are nonzero rationals.
+    and ``alpha_power`` any integer; the value of a term is its nonzero
+    integer numerator over the scalar's common denominator.
 
     >>> x = Scalar.alpha(1) + Scalar.alpha(-1)
     >>> print(x * x - (Scalar.alpha(1) - Scalar.alpha(-1)) ** 2)
     4
     """
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_terms", "_den")
 
     def __init__(self, terms: Mapping[tuple[int, int], RationalLike] | None = None):
-        self._terms = canonical(terms, Fraction, _checked_key)
+        rationals = canonical(terms, Fraction, _checked_key)
+        den = 1
+        for c in rationals.values():
+            d = c.denominator
+            if d != 1:
+                den = den // gcd(den, d) * d
+        # over the lcm of the denominators no common factor is left
+        self._terms = {k: c.numerator * (den // c.denominator) for k, c in rationals.items()}
+        self._den = den
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def zero(cls) -> "Scalar":
-        return cls()
+        return ZERO
 
     @classmethod
     def one(cls) -> "Scalar":
-        return cls({(0, 0): 1})
+        return ONE
 
     @classmethod
     def rational(cls, value: RationalLike) -> "Scalar":
-        return cls({(0, 0): Fraction(value)})
+        if isinstance(value, int):
+            return _scalar({(0, 0): value}, 1) if value else ZERO
+        if not isinstance(value, Fraction):
+            value = Fraction(value)
+        return _scalar({(0, 0): value.numerator}, value.denominator) if value else ZERO
 
     @classmethod
     def hbar(cls, power: int = 1) -> "Scalar":
-        return cls({(power, 0): 1})
+        return _scalar({_checked_key((power, 0)): 1}, 1)
 
     @classmethod
     def alpha(cls, power: int = 1) -> "Scalar":
-        return cls({(0, power): 1})
+        return _scalar({(0, int(power)): 1}, 1)
 
     # -- ring structure ----------------------------------------------------
 
     def __add__(self, other: "Scalar | RationalLike") -> "Scalar":
-        other = as_scalar(other)
-        return wrap(Scalar, accumulate(dict(self._terms), other._terms.items()))
+        if not isinstance(other, Scalar):
+            other = as_scalar(other)
+        a, b = self._terms, other._terms
+        if not b:
+            return self
+        if not a:
+            return other
+        d1, d2 = self._den, other._den
+        if d1 == d2:
+            return _reduced(accumulate(dict(a), b.items()), d1)
+        # over the lcm of the two denominators
+        g = gcd(d1, d2)
+        m1, m2 = d2 // g, d1 // g
+        sums = {k: c * m1 for k, c in a.items()}
+        return _reduced(accumulate(sums, ((k, c * m2) for k, c in b.items())), d1 * m1)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Scalar":
-        return wrap(Scalar, {key: -c for key, c in self._terms.items()})
+        return _scalar({key: -c for key, c in self._terms.items()}, self._den)
 
     def __sub__(self, other: "Scalar | RationalLike") -> "Scalar":
         return self + (-as_scalar(other))
@@ -80,13 +109,27 @@ class Scalar:
         return as_scalar(other) + (-self)
 
     def __mul__(self, other: "Scalar | RationalLike") -> "Scalar":
-        other = as_scalar(other)
-        products = (
-            ((h1 + h2, a1 + a2), c1 * c2)
-            for (h1, a1), c1 in self._terms.items()
-            for (h2, a2), c2 in other._terms.items()
-        )
-        return wrap(Scalar, accumulate({}, products))
+        if not isinstance(other, Scalar):
+            other = as_scalar(other)
+        a, b = self._terms, other._terms
+        if not a or not b:
+            return ZERO
+        if len(a) == 1:
+            a, b = b, a
+        if len(b) == 1:
+            # a shift of every key by one monomial: no two products collide
+            (((h2, a2), c2),) = b.items()
+            products = {(h1 + h2, a1 + a2): c1 * c2 for (h1, a1), c1 in a.items()}
+        else:
+            products = accumulate(
+                {},
+                (
+                    ((h1 + h2, a1 + a2), c1 * c2)
+                    for (h1, a1), c1 in a.items()
+                    for (h2, a2), c2 in b.items()
+                ),
+            )
+        return _reduced(products, self._den * other._den)
 
     __rmul__ = __mul__
 
@@ -94,13 +137,13 @@ class Scalar:
         d = Fraction(other)
         if not d:
             raise ZeroDivisionError("division of a Scalar by zero")
-        return self * (Fraction(1) / d)
+        return self * Scalar.rational(1 / d)
 
     def __pow__(self, n: int) -> "Scalar":
         if not isinstance(n, int) or n < 0:
             raise ValueError("Scalar powers must be non-negative integers")
         if not n:
-            return Scalar.one()
+            return ONE
         # square-and-multiply without the unit factor or a last, unused square
         result = None
         base = self
@@ -121,18 +164,19 @@ class Scalar:
         if len(self._terms) == 1:
             (((hp, ap), c),) = self._terms.items()
             if not hp:
-                return wrap(Scalar, {(0, -ap): 1 / c})
+                # c and the denominator are coprime, so den/c is reduced
+                return _scalar({(0, -ap): self._den if c > 0 else -self._den}, abs(c))
         raise ValueError(f"{self} is not a unit: units are single terms without hbar")
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = as_scalar(other)
         if not isinstance(other, Scalar):
-            return NotImplemented
-        return self._terms == other._terms
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = as_scalar(other)
+        return self._den == other._den and self._terms == other._terms
 
     def __hash__(self) -> int:
-        return hash(frozenset(self._terms.items()))
+        return hash((frozenset(self._terms.items()), self._den))
 
     # -- queries -----------------------------------------------------------
 
@@ -143,16 +187,22 @@ class Scalar:
     def __bool__(self) -> bool:
         return bool(self._terms)
 
+    def __len__(self) -> int:
+        """The number of terms."""
+        return len(self._terms)
+
     @property
     def is_alpha_free(self) -> bool:
         return all(ap == 0 for (_, ap) in self._terms)
 
-    def terms(self) -> Iterable[tuple[tuple[int, int], Fraction]]:
-        return self._terms.items()
+    def terms(self) -> list[tuple[tuple[int, int], Fraction]]:
+        """The ``(key, rational coefficient)`` pairs."""
+        den = self._den
+        return [(key, Fraction(c, den)) for key, c in self._terms.items()]
 
     def key(self) -> tuple:
         """Canonical hashable key (used for caching downstream)."""
-        return tuple(sorted(self._terms.items()))
+        return (tuple(sorted(self._terms.items())), self._den)
 
     # -- specialization ----------------------------------------------------
 
@@ -164,26 +214,71 @@ class Scalar:
         hval, aval = Fraction(hval), Fraction(aval)
         if not aval:
             raise ValueError("alpha must be specialized to a nonzero rational")
-        total = Fraction(0)
-        for (hp, ap), c in self._terms.items():
-            total += c * hval**hp * aval**ap
-        return total
+        if not self._terms:
+            return Fraction(0)
+        values, factor = _at_alpha(self._terms, aval)
+        # hval = n/d; over d^top every hbar^k becomes an integer
+        n, d = hval.numerator, hval.denominator
+        top = max(hp for hp, _ in values)
+        total = sum(v * n**hp * d ** (top - hp) for hp, v in values)
+        return Fraction(total, self._den * factor * d**top)
 
     def specialize_alpha(self, aval: RationalLike) -> "Scalar":
         """Substitute alpha := aval, keeping hbar symbolic."""
         aval = Fraction(aval)
         if not aval:
             raise ValueError("alpha must be specialized to a nonzero rational")
-        specialized = (((hp, 0), c * aval**ap) for (hp, ap), c in self._terms.items())
-        return wrap(Scalar, accumulate({}, specialized))
+        if not self._terms:
+            return ZERO
+        values, factor = _at_alpha(self._terms, aval)
+        return _reduced(accumulate({}, (((hp, 0), v) for hp, v in values)), self._den * factor)
 
     # -- rendering ---------------------------------------------------------
 
     def __str__(self) -> str:
-        return render(sorted(self._terms.items()), hbar_alpha)
+        return render(sorted(self.terms()), hbar_alpha)
 
     def __repr__(self) -> str:
         return f"Scalar({self})"
+
+
+def _scalar(terms: dict, den: int) -> Scalar:
+    """A Scalar holding ``terms`` over ``den``, which must already be canonical."""
+    out = object.__new__(Scalar)
+    out._terms = terms
+    out._den = den
+    return out
+
+
+def _reduced(terms: dict, den: int) -> Scalar:
+    """A Scalar holding nonzero integer ``terms`` over ``den > 0``, made canonical."""
+    if not terms:
+        return ZERO
+    if den != 1:
+        g = den
+        for c in terms.values():
+            g = gcd(g, c)
+            if g == 1:
+                break
+        else:
+            den //= g
+            terms = {k: c // g for k, c in terms.items()}
+    return _scalar(terms, den)
+
+
+def _at_alpha(terms: dict, aval: Fraction) -> tuple[list[tuple[int, int]], int]:
+    """Each of the nonempty ``terms`` at alpha := aval as ``(hbar_power, integer)``,
+    all over the returned common factor."""
+    # aval = +-p/q; over q^top * p^bottom every alpha^k becomes an integer
+    p, q = abs(aval.numerator), aval.denominator
+    sign = -1 if aval < 0 else 1
+    top = max(0, max(ap for _, ap in terms))
+    bottom = max(0, -min(ap for _, ap in terms))
+    values = [
+        (hp, c * q ** (top - ap) * p ** (bottom + ap) * (sign if ap % 2 else 1))
+        for (hp, ap), c in terms.items()
+    ]
+    return values, q**top * p**bottom
 
 
 def _checked_key(key: tuple[int, int]) -> tuple[int, int]:
@@ -218,7 +313,7 @@ def mass_squared(aval: "Scalar | RationalLike") -> Scalar:
     return a + a.inverse() - Scalar.rational(2)
 
 
-ZERO = Scalar.zero()
-ONE = Scalar.one()
+ZERO = _scalar({}, 1)
+ONE = _scalar({(0, 0): 1}, 1)
 HBAR = Scalar.hbar()
 ALPHA = Scalar.alpha()

@@ -142,3 +142,28 @@ def test_power_term_limit_is_the_multiset_count(text, terms, monkeypatch):
 def test_cli_rejects_huge_powers(text, capsys):
     assert main(["parse", text]) == 2
     assert "exceed" in capsys.readouterr().err
+
+
+def _sum_of_fields(n):
+    return "(" + " + ".join(f"delta[{i}]" for i in range(n)) + ")"
+
+
+def test_product_term_limit_is_checked_before_multiplying(monkeypatch):
+    text = _sum_of_fields(2) + "*" + "(delta[5] + delta[6] + hbar*(1 + alpha))"
+    value = parse_cochain(text)
+    monkeypatch.setattr(parser, "MAX_POWER_TERMS", 2 * 4)
+    assert parse_cochain(text) == value
+    monkeypatch.setattr(parser, "MAX_POWER_TERMS", 2 * 4 - 1)
+    with pytest.raises(ParseError) as err:
+        parse_cochain(text)
+    assert err.value.position == text.index("*")
+
+
+def test_cli_rejects_long_products_of_sums(capsys):
+    # 16^2 = 256 terms merge to 136, then 816, and 816 * 16 passes the bound
+    text = "*".join([_sum_of_fields(16)] * 6)
+    assert main(["parse", text]) == 2
+    assert "product may exceed" in capsys.readouterr().err
+    with pytest.raises(ParseError) as err:
+        parse_cochain(text)
+    assert err.value.position == len(_sum_of_fields(16)) * 3 + 2

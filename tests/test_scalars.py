@@ -1,3 +1,5 @@
+import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -123,3 +125,110 @@ def test_inverse_of_units():
     for non_unit in (ZERO, HBAR, ALPHA + ONE, HBAR * ALPHA):
         with pytest.raises(ValueError):
             non_unit.inverse()
+
+
+# -- independent cross-check of the ring operations ----------------------------
+#
+# Each result is read back through terms() and evaluated at random rational
+# (hbar, alpha) points by the plain Fraction code below, which calls no Scalar
+# arithmetic.  Two Laurent polynomials of the small degrees used here that
+# agree at several random points are equal (Schwartz-Zippel), so an
+# arithmetic error shows as a mismatch at some point.
+
+
+def _evaluate(x, h, a):
+    total = Fraction(0)
+    for (hp, ap), c in x.terms():
+        total += c * h**hp * a**ap
+    return total
+
+
+def _random_scalar(rng):
+    # mixed denominators; the constructor, not arithmetic, builds the map
+    terms = {}
+    for _ in range(rng.randint(0, 4)):
+        key = (rng.randint(0, 2), rng.randint(-3, 3))
+        terms[key] = Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3, 4, 6, 9, 10)))
+    return Scalar(terms)
+
+
+def _random_point(rng):
+    h = Fraction(rng.randint(-7, 7), rng.randint(1, 5))
+    a = Fraction(rng.choice((-1, 1)) * rng.randint(1, 7), rng.randint(1, 5))
+    return h, a
+
+
+def _assert_canonical(x):
+    assert x._den > 0
+    g = x._den
+    for c in x._terms.values():
+        assert isinstance(c, int) and c
+        g = math.gcd(g, c)
+    assert g == 1
+    if not x._terms:
+        assert x._den == 1
+    for _, c in x.terms():
+        assert isinstance(c, Fraction)
+
+
+def test_ring_operations_match_independent_evaluation():
+    rng = random.Random(2024)
+    for _ in range(300):
+        x, y = _random_scalar(rng), _random_scalar(rng)
+        unit = Scalar({(0, rng.randint(-3, 3)): Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 9))})
+        n = rng.randint(0, 4)
+        a0 = _random_point(rng)[1]
+        results = {
+            "add": x + y,
+            "sub": x - y,
+            "mul": x * y,
+            "pow": x**n,
+            "neg": -x,
+            "cancel_sub": x * y - y * x,
+            "cancel_add": (x + y) * (x - y) + (y * y - x * x),
+            "cancel_mixed": x * (y + unit) - x * y - x * unit,
+            "partial": (x + y) - y,
+            "inverse": unit.inverse(),
+            "specialize_alpha": x.specialize_alpha(a0),
+        }
+        for value in results.values():
+            _assert_canonical(value)
+        assert not results["cancel_sub"] and not results["cancel_add"] and not results["cancel_mixed"]
+        assert results["partial"] == x
+        assert results["specialize_alpha"].is_alpha_free
+        for _ in range(3):
+            h, a = _random_point(rng)
+            ex, ey, eu = _evaluate(x, h, a), _evaluate(y, h, a), _evaluate(unit, h, a)
+            assert _evaluate(results["add"], h, a) == ex + ey
+            assert _evaluate(results["sub"], h, a) == ex - ey
+            assert _evaluate(results["mul"], h, a) == ex * ey
+            assert _evaluate(results["pow"], h, a) == ex**n
+            assert _evaluate(results["neg"], h, a) == -ex
+            assert _evaluate(results["inverse"], h, a) * eu == 1
+            assert _evaluate(results["specialize_alpha"], h, a) == _evaluate(x, h, a0)
+            assert x.specialize(h, a) == ex
+
+
+def test_canonical_form_is_unique():
+    half = (
+        Scalar({(0, 0): Fraction(2, 4)}),
+        Scalar.rational(Fraction(1, 2)),
+        ONE * Fraction(1, 2),
+        as_scalar(Fraction(3, 6)),
+        (ALPHA * Fraction(3, 4) + ONE * Fraction(1, 2)) - ALPHA * Fraction(6, 8),
+    )
+    for x in half:
+        _assert_canonical(x)
+        assert x == half[0] == Fraction(1, 2)
+        assert hash(x) == hash(half[0])
+        assert x.key() == half[0].key()
+        assert x.terms() == [((0, 0), Fraction(1, 2))]
+    for zero in (ZERO, Scalar(), Scalar({(1, 1): 0}), HBAR - HBAR, ONE * 0, Scalar.rational(0),
+                 (HBAR * Fraction(1, 3)).specialize_alpha(5) * 0):
+        _assert_canonical(zero)
+        assert zero._terms == {} and zero._den == 1
+        assert zero == ZERO and hash(zero) == hash(ZERO) and zero.key() == ZERO.key()
+    # the gcd is taken over the denominator and all numerators together, not term by term
+    x = Scalar({(0, 0): Fraction(1, 6), (1, 0): Fraction(1, 4)})
+    assert x._den == 12 and x._terms == {(0, 0): 2, (1, 0): 3}
+    assert Scalar({(0, 0): 2, (0, 1): 4}) * Fraction(1, 2) == Scalar({(0, 0): 1, (0, 1): 2})
