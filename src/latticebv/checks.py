@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from random import Random
 
-from .cochains import Cochain, LatticeFunction, pairing
+from .cochains import Cochain, LatticeFunction, Monomial, pairing
 from .complexes import (
     KERNEL_KINDS,
     ModelParams,
@@ -61,16 +61,16 @@ __all__ = ["CheckConfig", "CheckResult", "CHECK_IDS", "run_check", "run_suite", 
 
 @dataclass(frozen=True)
 class CheckConfig:
-    """Seed and optional rational specializations for parameterizable checks.
+    """Seed and rational specializations for parameterizable checks.
 
     ``None`` means the symbolic variable.  Lemma-style checks pin their own
     parameters (their statements say which); the generic property checks use
-    these.
+    these.  ``latticebv check`` defaults to seed 0 with symbolic hbar and alpha.
     """
 
-    seed: int = 0
-    hbar: Fraction | None = None
-    alpha: Fraction | None = None
+    seed: int
+    hbar: Fraction | None
+    alpha: Fraction | None
 
     def params(self) -> ModelParams:
         return ModelParams.at(self.hbar, self.alpha)
@@ -99,21 +99,27 @@ class CheckResult:
 _SYMBOLIC = ModelParams.symbolic()
 _MASSLESS = ModelParams.massless()
 
-_algebras: dict[tuple, StarAlgebra] = {}
+
+def _qp_basis(n: int) -> list[tuple[int, int]]:
+    """The exponents (a, b) of q^a p^b with a + b < n, by total degree, p-powers ascending."""
+    return [(total - b, b) for total in range(n) for b in range(total + 1)]
 
 
-def _algebra(params: ModelParams, geometry: str = "default") -> StarAlgebra:
-    key = (params, geometry)
-    if key not in _algebras:
-        _algebras[key] = StarAlgebra(params, geometry)
-    return _algebras[key]
+def _random_triples(rng: Random, pool: list, max_total: int, count: int):
+    """``count`` triples drawn from ``pool`` whose exponents sum to at most ``max_total``."""
+    drawn = 0
+    while drawn < count:
+        triple = tuple(rng.choice(pool) for _ in range(3))
+        if sum(map(sum, triple)) <= max_total:
+            drawn += 1
+            yield triple
 
 
-def _random_scalar(rng: Random, allow_alpha: bool = True) -> Scalar:
+def _random_scalar(rng: Random) -> Scalar:
     out = Scalar.zero()
     for _ in range(rng.randint(1, 3)):
         hp = rng.randint(0, 2)
-        ap = rng.randint(-2, 2) if allow_alpha else 0
+        ap = rng.randint(-2, 2)
         c = Fraction(rng.randint(-6, 6), rng.randint(1, 4))
         out = out + Scalar({(hp, ap): 1}) * c
     return out
@@ -141,11 +147,9 @@ def _random_cochain(
     return out
 
 
-def _random_lattice_function(
-    rng: Random, site_lo: int = -6, site_hi: int = 6, max_terms: int = 4
-) -> LatticeFunction:
+def _random_lattice_function(rng: Random, max_terms: int = 4) -> LatticeFunction:
     values: dict[int, Scalar] = {}
-    for s in rng.sample(range(site_lo, site_hi + 1), rng.randint(1, max_terms)):
+    for s in rng.sample(range(-6, 7), rng.randint(1, max_terms)):
         values[s] = _random_scalar(rng)
     return LatticeFunction(values)
 
@@ -161,10 +165,6 @@ def _certificate_witness(cert: HomotopyCertificate, params: ModelParams) -> dict
     out["alpha"] = str(params.alpha)
     out["hbar"] = str(params.hbar)
     return out
-
-
-def _c(expr: str) -> Cochain:
-    return parse_cochain(expr)
 
 
 # -- individual checks --------------------------------------------------------
@@ -307,8 +307,8 @@ _FOUR_TERM_HOMOTOPY = "bdelta[1]*delta[-1] - bdelta[0]*delta[0] - 2*bdelta[1]*de
 
 def _check_homotopy_certificate(cfg: CheckConfig):
     params = _MASSLESS
-    c = _c(_FOUR_TERM)
-    h = _c(_FOUR_TERM_HOMOTOPY)
+    c = parse_cochain(_FOUR_TERM)
+    h = parse_cochain(_FOUR_TERM_HOMOTOPY)
     hbar = Cochain.scalar(Scalar.hbar())
     if c - hbar != d_quantum(h, params):
         return False, {"residue": str(c - hbar - d_quantum(h, params))}
@@ -324,9 +324,9 @@ def _check_homotopy_certificate(cfg: CheckConfig):
 
 
 def _check_massless_commutator(cfg: CheckConfig):
-    algebra = _algebra(_MASSLESS, "massless35")
-    x = algebra.class_of(_c("delta[2] - delta[1]"))
-    y = algebra.class_of(_c("delta[0]"))
+    algebra = StarAlgebra(_MASSLESS, "massless35")
+    x = algebra.class_of(parse_cochain("delta[2] - delta[1]"))
+    y = algebra.class_of(parse_cochain("delta[0]"))
     comm = algebra.commutator(x, y)
     if comm.canonical_form != Cochain.scalar(Scalar.hbar()):
         return False, {"commutator": str(comm.canonical_form)}
@@ -334,8 +334,8 @@ def _check_massless_commutator(cfg: CheckConfig):
 
 
 def _check_massive_commutator(cfg: CheckConfig):
-    algebra = _algebra(_SYMBOLIC, "default")
-    two_p = algebra.class_of(_c("delta[1] - delta[-1]"))
+    algebra = StarAlgebra(_SYMBOLIC, "default")
+    two_p = algebra.class_of(parse_cochain("delta[1] - delta[-1]"))
     q = algebra.q_class
     raw = algebra.commutator(two_p, q)
     if raw.canonical_form != Cochain.scalar(Scalar.hbar() * 2):
@@ -351,11 +351,11 @@ def _check_massive_commutator(cfg: CheckConfig):
 
 
 def _check_chain_level_product(cfg: CheckConfig):
-    left = (_c("delta[0]"), Interval(-2, Fraction(1, 2)))
-    right = (_c("delta[2] - delta[1]"), Interval(Fraction(1, 2), 3))
+    left = (parse_cochain("delta[0]"), Interval(-2, Fraction(1, 2)))
+    right = (parse_cochain("delta[2] - delta[1]"), Interval(Fraction(1, 2), 3))
     ambient = Interval(-3, 3)
     product = factorization_product([left, right], ambient)
-    if product != _c("delta[0]*delta[2] - delta[0]*delta[1]"):
+    if product != parse_cochain("delta[0]*delta[2] - delta[0]*delta[1]"):
         return False, {"product": str(product)}
     if factorization_product([(Cochain.one(), left[1]), (Cochain.one(), right[1])], ambient) != Cochain.one():
         return False, {"identity": "unitality"}
@@ -387,19 +387,19 @@ def _check_relocation(cfg: CheckConfig):
         Cochain.field(2) * (ap1 * ap1 - Scalar.one()) - Cochain.field(3) * ap1
     )
     expected_homotopy = Cochain.antifield(1) + Cochain.antifield(2) * ap1
-    cert = relocate(_c("delta[0]"), ambient, Window(2), params)
+    cert = relocate(parse_cochain("delta[0]"), ambient, Window(2), params)
     if cert.normal_form != expected_right:
         return False, {"normal_form": str(cert.normal_form)}
     if cert.homotopy != expected_homotopy:
         return False, {"homotopy": str(cert.homotopy)}
-    mirror = relocate(_c("delta[0]"), ambient, Window(-3), params)
+    mirror = relocate(parse_cochain("delta[0]"), ambient, Window(-3), params)
     expected_left = (
         Cochain.field(-2) * (ap1 * ap1 - Scalar.one()) - Cochain.field(-3) * ap1
     )
     if mirror.normal_form != expected_left:
         return False, {"mirror_normal_form": str(mirror.normal_form)}
-    fixed = relocate(_c("delta[2]"), ambient, Window(2), params)
-    if fixed.normal_form != _c("delta[2]") or not fixed.homotopy.is_zero:
+    fixed = relocate(parse_cochain("delta[2]"), ambient, Window(2), params)
+    if fixed.normal_form != parse_cochain("delta[2]") or not fixed.homotopy.is_zero:
         return False, {"identity": "already in target"}
     return True, {
         "certificate": _certificate_witness(cert, params),
@@ -408,7 +408,7 @@ def _check_relocation(cfg: CheckConfig):
 
 
 def _check_time_evolution_massless(cfg: CheckConfig):
-    algebra = _algebra(_MASSLESS, "default")
+    algebra = StarAlgebra(_MASSLESS, "default")
     moved_q = algebra.to_weyl(algebra.translate_class(algebra.q_class, 1))
     if moved_q != WeylElement.q() + WeylElement.p():
         return False, {"q_image": str(moved_q)}
@@ -424,7 +424,7 @@ def _check_time_evolution_massless(cfg: CheckConfig):
 
 def _check_time_evolution_matrix(cfg: CheckConfig):
     params = _SYMBOLIC
-    algebra = _algebra(params, "default")
+    algebra = StarAlgebra(params, "default")
     half_sum = params.alpha_plus_inverse() * Fraction(1, 2)
     quarter_square = (
         params.alpha_power(2) - Scalar.rational(2) + params.alpha_power(-2)
@@ -445,13 +445,11 @@ def _check_time_evolution_matrix(cfg: CheckConfig):
     comm = expected_p * expected_q - expected_q * expected_p
     if comm != WeylElement({(0, 0): Scalar.hbar()}):
         return False, {"identity": "commutator preservation", "got": str(comm)}
-    for total in range(5):
-        for b in range(total + 1):
-            a = total - b
-            lhs = algebra.to_weyl(algebra.translate_class(algebra.psi(a, b), 1))
-            rhs = time_evolution(WeylElement({(a, b): 1}), params)
-            if lhs != rhs:
-                return False, {"basis": f"q^{a} p^{b}", "lhs": str(lhs), "rhs": str(rhs)}
+    for a, b in _qp_basis(5):
+        lhs = algebra.to_weyl(algebra.translate_class(algebra.psi(a, b), 1))
+        rhs = time_evolution(WeylElement({(a, b): 1}), params)
+        if lhs != rhs:
+            return False, {"basis": f"q^{a} p^{b}", "lhs": str(lhs), "rhs": str(rhs)}
     return True, {
         "q": str(moved_q),
         "p": str(moved_p),
@@ -474,8 +472,8 @@ def _check_anti_involution(cfg: CheckConfig):
     if time_reversal_weyl(WeylElement.p()) != -WeylElement.p():
         return False, {"identity": "negates p"}
     # class level, massless: tau(x * y) = tau(y) * tau(x) on basis pairs
-    algebra = _algebra(_MASSLESS, "default")
-    basis = [(a, b) for a in range(4) for b in range(4) if a + b <= 3]
+    algebra = StarAlgebra(_MASSLESS, "default")
+    basis = _qp_basis(4)
     for (a, b) in basis:
         for (c, d) in basis:
             x, y = algebra.psi(a, b), algebra.psi(c, d)
@@ -484,7 +482,7 @@ def _check_anti_involution(cfg: CheckConfig):
             if lhs != rhs:
                 return False, {"pair": f"q^{a}p^{b}, q^{c}p^{d}"}
     # generators agree with the Weyl-level anti-involution, symbolically
-    sym = _algebra(_SYMBOLIC, "default")
+    sym = StarAlgebra(_SYMBOLIC, "default")
     if sym.to_weyl(sym.reverse_class(sym.q_class)) != WeylElement.q():
         return False, {"identity": "class-level fixes q"}
     if sym.to_weyl(sym.reverse_class(sym.p_class)) != -WeylElement.p():
@@ -631,10 +629,8 @@ def _check_local_constancy(cfg: CheckConfig):
 
 
 def _check_weyl_iso(cfg: CheckConfig):
-    algebra = _algebra(_SYMBOLIC, "default")
-    from .cochains import Monomial
-
-    basis = [(a, b) for total in range(7) for b in range(total + 1) for a in (total - b,)]
+    algebra = StarAlgebra(_SYMBOLIC, "default")
+    basis = _qp_basis(7)
     for a, b in basis:
         if algebra.to_weyl(algebra.psi(a, b)) != WeylElement({(a, b): 1}):
             return False, {"identity": "round trip", "basis": f"q^{a}p^{b}"}
@@ -670,12 +666,9 @@ def _check_weyl_iso(cfg: CheckConfig):
 
 
 def _check_mass_independence(cfg: CheckConfig):
-    symbolic = _algebra(_SYMBOLIC, "default")
-    specialized = [
-        _algebra(ModelParams.at(alpha=a), "default")
-        for a in (1, 2, 3)
-    ]
-    basis = [(a, b) for total in range(5) for b in range(total + 1) for a in (total - b,)]
+    symbolic = StarAlgebra(_SYMBOLIC, "default")
+    specialized = [StarAlgebra(ModelParams.at(alpha=a), "default") for a in (1, 2, 3)]
+    basis = _qp_basis(5)
     pairs = 0
     for x in basis:
         for y in basis:
@@ -731,8 +724,8 @@ def _check_confluence(cfg: CheckConfig):
 
 def _check_star_associativity(cfg: CheckConfig):
     rng = Random(cfg.seed)
-    algebra = _algebra(_MASSLESS, "default")
-    basis = [(a, b) for total in range(4) for b in range(total + 1) for a in (total - b,)]
+    algebra = StarAlgebra(_MASSLESS, "default")
+    basis = _qp_basis(4)
     classes = [algebra.psi(a, b) for a, b in basis]
     unit = algebra.one
     for x in classes:
@@ -751,31 +744,16 @@ def _check_star_associativity(cfg: CheckConfig):
                         "z": str(z),
                     }
                 checked += 1
-    larger = [(a, b) for total in range(6) for b in range(total + 1) for a in (total - b,)]
-    random_rounds = 0
-    while random_rounds < 200:
-        x, y, z = (rng.choice(larger) for _ in range(3))
-        if sum(x) + sum(y) + sum(z) > 8:
-            continue
-        random_rounds += 1
+    for x, y, z in _random_triples(rng, _qp_basis(6), 8, 200):
         cx, cy, cz = (algebra.psi(*t) for t in (x, y, z))
         if algebra.star(algebra.star(cx, cy), cz) != algebra.star(cx, algebra.star(cy, cz)):
             return False, {"triple": f"{x}, {y}, {z}"}
-    sym = _algebra(_SYMBOLIC, "default")
-    sym_rounds = 0
-    while sym_rounds < 20:
-        x, y, z = (rng.choice(basis) for _ in range(3))
-        if sum(x) + sum(y) + sum(z) > 4:
-            continue
-        sym_rounds += 1
+    sym = StarAlgebra(_SYMBOLIC, "default")
+    for x, y, z in _random_triples(rng, basis, 4, 20):
         cx, cy, cz = (sym.psi(*t) for t in (x, y, z))
         if sym.star(sym.star(cx, cy), cz) != sym.star(cx, sym.star(cy, cz)):
             return False, {"triple": f"{x}, {y}, {z}", "alpha": "symbolic"}
-    return True, {
-        "exhaustive_triples": checked,
-        "random_triples": random_rounds,
-        "symbolic_triples": sym_rounds,
-    }
+    return True, {"exhaustive_triples": checked, "random_triples": 200, "symbolic_triples": 20}
 
 
 # -- registry -----------------------------------------------------------------
@@ -902,7 +880,7 @@ CHECK_IDS = tuple(check_id for check_id, _, _ in _REGISTRY)
 _BY_ID = {check_id: (statement, fn) for check_id, statement, fn in _REGISTRY}
 
 
-def run_check(check_id: str, config: CheckConfig | None = None) -> CheckResult:
+def run_check(check_id: str, config: CheckConfig) -> CheckResult:
     """Run one named check; unknown ids are an error.
 
     A check that raises gets status ``error``, with the exception's type and
@@ -911,7 +889,6 @@ def run_check(check_id: str, config: CheckConfig | None = None) -> CheckResult:
     if check_id not in _BY_ID:
         raise ValueError(f"unknown check id {check_id!r}")
     statement, fn = _BY_ID[check_id]
-    config = config or CheckConfig()
     start = time.perf_counter()
     try:
         ok, witness = fn(config)
@@ -928,14 +905,13 @@ def run_check(check_id: str, config: CheckConfig | None = None) -> CheckResult:
     )
 
 
-def run_suite(
-    check_ids: list[str] | None = None, config: CheckConfig | None = None
-) -> list[CheckResult]:
+def run_suite(check_ids: list[str] | None, config: CheckConfig) -> list[CheckResult]:
+    """Run the named checks in order; ``None`` runs the whole registry."""
     ids = list(check_ids) if check_ids is not None else list(CHECK_IDS)
     return [run_check(check_id, config) for check_id in ids]
 
 
-def emit_report(results: list[CheckResult], format: str = "json") -> str:
+def emit_report(results: list[CheckResult], format: str) -> str:
     """Serialize results; json is an array of objects, text a readable table."""
     if format == "json":
         return json.dumps([r.as_dict() for r in results], indent=2)

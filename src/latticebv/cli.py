@@ -25,11 +25,19 @@ from .reduction import Window, normal_form, verify_certificate
 from .weyl import GEOMETRIES, StarAlgebra
 
 
+def _fraction(text: str) -> Fraction:
+    """A rational p/q; a zero denominator is a ValueError like any bad input."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
+
+
 def _fraction_or_none(text: str) -> Fraction | None:
     """'sym' means the symbolic variable; anything else is a rational p/q."""
     if text == "sym":
         return None
-    return Fraction(text)
+    return _fraction(text)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -123,8 +131,8 @@ def main(argv: list[str] | None = None) -> int:
             spec = TruncationSpec(
                 Interval.parse(args.interval),
                 args.maxdeg,
-                Fraction(args.hbar),
-                Fraction(args.alpha),
+                _fraction(args.hbar),
+                _fraction(args.alpha),
             )
             dims = cohomology_oracle(spec)
             print(json.dumps({str(k): v for k, v in sorted(dims.items())}, indent=2))

@@ -62,30 +62,6 @@ def sort_antifields(sites: Iterable[Site]) -> tuple[tuple[Site, ...], int]:
     return tuple(out), sign
 
 
-def _merge_antifields(
-    a: tuple[Site, ...], b: tuple[Site, ...]
-) -> tuple[tuple[Site, ...], int]:
-    """Merge two sorted antifield tuples, counting interleaving inversions."""
-    out: list[Site] = []
-    sign = 1
-    i = j = 0
-    while i < len(a) and j < len(b):
-        if a[i] < b[j]:
-            out.append(a[i])
-            i += 1
-        elif a[i] > b[j]:
-            # b[j] jumps over the len(a) - i remaining elements of a
-            if (len(a) - i) % 2:
-                sign = -sign
-            out.append(b[j])
-            j += 1
-        else:
-            return (), 0
-    out.extend(a[i:])
-    out.extend(b[j:])
-    return tuple(out), sign
-
-
 class Monomial:
     """Canonical monomial: sorted antifield word times a field power product.
 
@@ -184,9 +160,12 @@ Monomial.UNIT = Monomial((), ())
 
 def _mul_monomials(a: Monomial, b: Monomial) -> tuple[Monomial | None, int]:
     """Product of monomials with its Koszul sign; None if an odd site repeats."""
-    anti, sign = _merge_antifields(a.antifields, b.antifields)
-    if sign == 0:
-        return None, 0
+    if a.antifields and b.antifields:
+        anti, sign = sort_antifields(a.antifields + b.antifields)
+        if sign == 0:
+            return None, 0
+    else:
+        anti, sign = a.antifields or b.antifields, 1
     if not b.fields:
         fields = a.fields
     elif not a.fields:
@@ -222,11 +201,9 @@ class Cochain:
         return cls.scalar(1)
 
     @classmethod
-    def field(cls, site: Site, exponent: int = 1) -> "Cochain":
-        """The generator delta[site] (or a pure power of it)."""
-        if exponent == 0:
-            return cls.one()
-        return cls({Monomial.make({site: exponent}): Scalar.one()})
+    def field(cls, site: Site) -> "Cochain":
+        """The generator delta[site]."""
+        return cls({Monomial(((site, 1),), ()): Scalar.one()})
 
     @classmethod
     def antifield(cls, site: Site) -> "Cochain":
@@ -426,9 +403,9 @@ class LatticeFunction:
         return cls()
 
     @classmethod
-    def delta(cls, site: Site, value: Scalar | int | Fraction = 1) -> "LatticeFunction":
-        """The indicator of a single site (scaled)."""
-        return cls({site: value})
+    def delta(cls, site: Site) -> "LatticeFunction":
+        """The indicator of a single site."""
+        return cls({site: 1})
 
     def __add__(self, other: "LatticeFunction") -> "LatticeFunction":
         return wrap(LatticeFunction, accumulate(dict(self._terms), other._terms.items()))

@@ -163,9 +163,7 @@ def poisson_bracket(x: Cochain, y: Cochain) -> Cochain:
     return out
 
 
-def kernel_function(
-    kind: str, x: Site, params: ModelParams | None = None
-) -> Scalar:
+def kernel_function(kind: str, x: Site, params: ModelParams) -> Scalar:
     """The four harmonic kernels annihilated by the lattice Laplacian.
 
     u(x) = alpha^x, v(x) = alpha^-x, A = (u + v)/2, and B is
@@ -175,8 +173,6 @@ def kernel_function(
 
     so no division happens in the ring; B(0) = 0 and B(x) = x at alpha = 1.
     """
-    if params is None:
-        params = ModelParams.symbolic()
     if kind == "u":
         return params.alpha_power(x)
     if kind == "v":
@@ -194,7 +190,7 @@ def kernel_function(
     raise ValueError(f"unknown kernel kind {kind!r}")
 
 
-def phi(f: LatticeFunction, params: ModelParams | None = None):
+def phi(f: LatticeFunction, params: ModelParams):
     """The degree-0 cohomology classifier as a linear Weyl element.
 
     Sends a representative f to (sum f(x) A(x)) q + (sum f(x) B(x)) p.  It
@@ -203,8 +199,6 @@ def phi(f: LatticeFunction, params: ModelParams | None = None):
     """
     from .weyl import WeylElement
 
-    if params is None:
-        params = ModelParams.symbolic()
     qc = Scalar.zero()
     pc = Scalar.zero()
     for s, v in f.items():

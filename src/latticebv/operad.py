@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cochains import Cochain, LatticeFunction, Site, support_within
+from .cochains import Cochain, LatticeFunction, support_within
 
 __all__ = [
     "Interval",
@@ -57,15 +57,22 @@ class Interval:
         parts = text.split(",")
         if len(parts) != 2:
             raise ValueError(f"expected 'a,b', got {text!r}")
-        return cls(Fraction(parts[0].strip()), Fraction(parts[1].strip()))
+        try:
+            return cls(Fraction(parts[0].strip()), Fraction(parts[1].strip()))
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in interval {text!r}") from None
 
-    def field_sites(self) -> tuple[Site, ...]:
-        """Integer points strictly inside (a, b)."""
-        return tuple(range(math.floor(self.a) + 1, math.ceil(self.b)))
+    def field_sites(self) -> range:
+        """Integer points strictly inside (a, b).
 
-    def antifield_sites(self) -> tuple[Site, ...]:
-        """Integer points strictly inside (a+1, b-1)."""
-        return tuple(range(math.floor(self.a + 1) + 1, math.ceil(self.b - 1)))
+        A ``range``, so membership and size cost O(1) however wide the
+        interval is; nothing materializes the sites unless a caller iterates.
+        """
+        return range(math.floor(self.a) + 1, math.ceil(self.b))
+
+    def antifield_sites(self) -> range:
+        """Integer points strictly inside (a+1, b-1), as a ``range``."""
+        return range(math.floor(self.a + 1) + 1, math.ceil(self.b - 1))
 
     def contains(self, other: "Interval") -> bool:
         return self.a <= other.a and other.b <= self.b
@@ -171,8 +178,8 @@ def sum_operation(
     """The linear-level structure map: pointwise sum after inclusion."""
     IntervalOperation(tuple(I for _, I in args), ambient)
     for f, I in args:
-        allowed = set(I.field_sites())
-        if not f.support() <= allowed:
+        allowed = I.field_sites()
+        if not all(s in allowed for s in f.support()):
             raise ValueError(f"function {f} is not supported within {I}")
     out = LatticeFunction.zero()
     for f, _ in args:

@@ -82,7 +82,7 @@ def d_quantum_reference(c: Cochain, params: ModelParams) -> Cochain:
     return out + laplacian * params.hbar
 
 
-def _field_monomials(sites: tuple[int, ...], max_total: int):
+def _field_monomials(sites: range, max_total: int):
     """All sorted field exponent tuples of total degree <= max_total."""
     yield ()
     for d in range(1, max_total + 1):
@@ -93,37 +93,33 @@ def _field_monomials(sites: tuple[int, ...], max_total: int):
             yield tuple(sorted(fields.items()))
 
 
-def truncated_basis(
-    interval: Interval, maxdeg: int, include_unit: bool = True
-) -> dict[int, list[Monomial]]:
+def truncated_basis(interval: Interval, maxdeg: int) -> dict[int, list[Monomial]]:
     """Monomial basis per cohomological degree, total degree <= maxdeg.
 
-    ``include_unit=False`` drops the constants and is only meaningful for
-    the linear truncation (maxdeg <= 1), where it exposes the two-term
-    complex itself.
+    The size is counted from the numbers of sites before anything is built,
+    and a basis above :data:`BASIS_GUARD` is rejected; at maxdeg 0 the basis
+    is the unit alone and the site pools are never touched, so both stay
+    cheap however wide the interval is (``combinations`` copies its pool).
     """
-    if not include_unit and maxdeg > 1:
-        raise ValueError("dropping the unit is only sound for maxdeg <= 1")
     field_sites = interval.field_sites()
     antifield_sites = interval.antifield_sites()
-    odd_counts = range(min(maxdeg, len(antifield_sites)) + 1)
-    # k odd factors times field monomials of degree <= maxdeg - k, counted
-    # before anything is built
-    size = sum(
-        comb(len(antifield_sites), k) * comb(len(field_sites) + maxdeg - k, maxdeg - k)
-        for k in odd_counts
-    )
-    if size - (not include_unit) > BASIS_GUARD:
+    # counted from the bounds: len() of a range fails past sys.maxsize
+    n_field = field_sites.stop - field_sites.start
+    n_anti = max(0, antifield_sites.stop - antifield_sites.start)
+    odd_counts = range(min(maxdeg, n_anti) + 1)
+    # k odd factors times field monomials of degree <= maxdeg - k
+    size = sum(comb(n_anti, k) * comb(n_field + maxdeg - k, maxdeg - k) for k in odd_counts)
+    if size > BASIS_GUARD:
         raise BasisTooLargeError(f"truncated basis exceeds {BASIS_GUARD} monomials")
+    if not maxdeg:
+        return {0: [Monomial.UNIT]}
     basis: dict[int, list[Monomial]] = {}
     for k in odd_counts:
-        monomials: list[Monomial] = []
-        for anti in combinations(antifield_sites, k):
-            for fields in _field_monomials(field_sites, maxdeg - k):
-                m = Monomial(fields, anti)
-                if not include_unit and m.polynomial_degree == 0:
-                    continue
-                monomials.append(m)
+        monomials = [
+            Monomial(fields, anti)
+            for anti in combinations(antifield_sites, k)
+            for fields in _field_monomials(field_sites, maxdeg - k)
+        ]
         monomials.sort(key=Monomial.sort_key)
         if monomials:
             basis[-k] = monomials
@@ -188,14 +184,14 @@ def _differential_columns(
 
 
 def _truncated_complex(
-    spec: TruncationSpec, include_unit: bool = True
+    spec: TruncationSpec,
 ) -> tuple[dict[int, list[Monomial]], dict[int, list[dict[int, Fraction]]], dict[int, int]]:
     """The truncated complex: basis, sparse coordinate columns of d_h and their ranks.
 
     ``columns[g]`` and ``ranks[g]`` describe d_h from degree g to g + 1 and
     are present only where both degrees have a basis.
     """
-    basis = truncated_basis(spec.interval, spec.maxdeg, include_unit)
+    basis = truncated_basis(spec.interval, spec.maxdeg)
     columns: dict[int, list[dict[int, Fraction]]] = {}
     ranks: dict[int, int] = {}
     for g, monomials in basis.items():
@@ -210,15 +206,13 @@ def _dimensions(basis: dict[int, list[Monomial]], ranks: dict[int, int]) -> dict
     return {g: len(basis[g]) - ranks.get(g, 0) - ranks.get(g - 1, 0) for g in sorted(basis)}
 
 
-def cohomology_oracle(
-    spec: TruncationSpec, include_unit: bool = True
-) -> dict[int, int]:
+def cohomology_oracle(spec: TruncationSpec) -> dict[int, int]:
     """Cohomology dimensions of the truncated complex, degree by degree.
 
     Builds the specialized quantum differential on the monomial basis and
     computes exact ranks over the rationals.
     """
-    basis, _, ranks = _truncated_complex(spec, include_unit)
+    basis, _, ranks = _truncated_complex(spec)
     return _dimensions(basis, ranks)
 
 

@@ -199,8 +199,8 @@ def _reduce_to_window(
         raise ValueError("reduction applies to purely even degree-0 cochains only")
     if not support_within(c, interval):
         raise ValueError(f"cochain is not supported within {interval}")
-    field_sites = set(interval.field_sites())
-    if not set(window.sites) <= field_sites:
+    field_sites = interval.field_sites()
+    if not all(s in field_sites for s in window.sites):
         raise ValueError(f"window {window} is not made of field sites of {interval}")
 
     work: dict[Monomial, Scalar] = dict(c.terms())
@@ -232,8 +232,8 @@ def _reduce_to_window(
 def normal_form(
     c: Cochain,
     interval: Interval,
-    window: Window = Window(0),
-    params: ModelParams | None = None,
+    window: Window,
+    params: ModelParams,
     strategy: str = "right",
 ) -> HomotopyCertificate:
     """Reduce to the canonical window, producing a verified-style certificate.
@@ -243,24 +243,15 @@ def normal_form(
     independent of the strategy (confluence; checked by the harness, not
     assumed here).
     """
-    if params is None:
-        params = ModelParams.symbolic()
     return _reduce_to_window(c, interval, window, params, strategy)
 
 
 def relocate(
-    c: Cochain,
-    interval: Interval,
-    target: Window | Site,
-    params: ModelParams | None = None,
-    strategy: str = "right",
+    c: Cochain, interval: Interval, window: Window, params: ModelParams
 ) -> HomotopyCertificate:
-    """Move a degree-0 cochain onto the contiguous target site pair.
+    """Move a degree-0 cochain onto the contiguous site pair of ``window``.
 
     Same engine as :func:`normal_form`, aimed at {t, t+1}; the class is
     unchanged, as witnessed by the certificate.
     """
-    if params is None:
-        params = ModelParams.symbolic()
-    window = target if isinstance(target, Window) else Window(target)
-    return _reduce_to_window(c, interval, window, params, strategy)
+    return _reduce_to_window(c, interval, window, params, "right")

@@ -40,6 +40,7 @@ __all__ = [
     "GEOMETRIES",
     "H0Class",
     "StarAlgebra",
+    "MAX_DEGREE",
     "time_evolution",
     "time_reversal_weyl",
     "fock_action",
@@ -150,7 +151,6 @@ class StarGeometry:
     sub-intervals) before multiplying into the ambient interval.
     """
 
-    name: str
     ambient: Interval
     left: Interval
     right: Interval
@@ -162,15 +162,14 @@ class StarGeometry:
             raise ValueError("sub-intervals must lie inside the ambient interval")
         if not self.left < self.right:
             raise ValueError("the left sub-interval must lie strictly left of the right one")
-        if not set(self.left_window.sites) <= set(self.left.field_sites()):
+        if not all(s in self.left.field_sites() for s in self.left_window.sites):
             raise ValueError("left window must consist of field sites of the left sub-interval")
-        if not set(self.right_window.sites) <= set(self.right.field_sites()):
+        if not all(s in self.right.field_sites() for s in self.right_window.sites):
             raise ValueError("right window must consist of field sites of the right sub-interval")
 
 
 GEOMETRIES: dict[str, StarGeometry] = {
     "default": StarGeometry(
-        name="default",
         ambient=Interval(Fraction(-4), Fraction(4)),
         left=Interval(Fraction(-4), Fraction(-3, 2)),
         right=Interval(Fraction(-3, 2), Fraction(4)),
@@ -178,7 +177,6 @@ GEOMETRIES: dict[str, StarGeometry] = {
         right_window=Window(0),
     ),
     "massless35": StarGeometry(
-        name="massless35",
         ambient=Interval(Fraction(-3), Fraction(3)),
         left=Interval(Fraction(-2), Fraction(1, 2)),
         right=Interval(Fraction(1, 2), Fraction(3)),
@@ -186,7 +184,6 @@ GEOMETRIES: dict[str, StarGeometry] = {
         right_window=Window(1),
     ),
     "alternate": StarGeometry(
-        name="alternate",
         ambient=Interval(Fraction(-4), Fraction(4)),
         left=Interval(Fraction(-4), Fraction(-1, 2)),
         right=Interval(Fraction(-1, 2), Fraction(4)),
@@ -196,6 +193,9 @@ GEOMETRIES: dict[str, StarGeometry] = {
 }
 
 CANONICAL_WINDOW = Window(0)
+
+# the highest total degree a + b of q^a p^b that psi and to_weyl accept
+MAX_DEGREE = 12
 
 
 class H0Class:
@@ -232,18 +232,9 @@ class H0Class:
         if self.ambient != other.ambient or self.params != other.params:
             raise ValueError("classes live on different ambient intervals or parameters")
 
-    def __add__(self, other: "H0Class") -> "H0Class":
-        self._compatible(other)
-        return H0Class(self.rep + other.rep, self.ambient, self.params)
-
     def __sub__(self, other: "H0Class") -> "H0Class":
         self._compatible(other)
         return H0Class(self.rep - other.rep, self.ambient, self.params)
-
-    def __mul__(self, factor: Scalar | int | Fraction) -> "H0Class":
-        return H0Class(self.rep * as_scalar(factor), self.ambient, self.params)
-
-    __rmul__ = __mul__
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, H0Class):
@@ -259,23 +250,18 @@ class H0Class:
 
 
 class StarAlgebra:
-    """The star-product algebra on degree-0 classes of a fixed geometry.
+    """The star-product algebra on degree-0 classes of a named geometry.
 
-    Caches relocations and the star powers of the generators, and converts
-    between classes and normal-ordered Weyl elements both ways.
+    ``StarAlgebra(params, geometry)`` takes the model parameters and a key
+    of :data:`GEOMETRIES`.  Each instance caches its own classes,
+    relocations and star powers of the generators (nothing is shared
+    between instances), and converts between classes and normal-ordered
+    Weyl elements both ways, up to total degree :data:`MAX_DEGREE`.
     """
 
-    def __init__(
-        self,
-        params: ModelParams | None = None,
-        geometry: StarGeometry | str = "default",
-        max_degree: int = 12,
-    ):
-        if isinstance(geometry, str):
-            geometry = GEOMETRIES[geometry]
-        self.params = params if params is not None else ModelParams.symbolic()
-        self.geometry = geometry
-        self.max_degree = max_degree
+    def __init__(self, params: ModelParams, geometry: str):
+        self.params = params
+        self.geometry = GEOMETRIES[geometry]
         self._classes: dict[tuple, H0Class] = {}
         self._reloc: dict[tuple, Cochain] = {}
         self._psi: dict[tuple[int, int], H0Class] = {}
@@ -328,8 +314,8 @@ class StarAlgebra:
 
     def psi(self, q_power: int, p_power: int) -> H0Class:
         """The class of q^a p^b: star powers of the generator classes."""
-        if q_power + p_power > self.max_degree:
-            raise ValueError(f"degree bound {self.max_degree} exceeded")
+        if q_power + p_power > MAX_DEGREE:
+            raise ValueError(f"degree bound {MAX_DEGREE} exceeded")
         key = (q_power, p_power)
         cached = self._psi.get(key)
         if cached is not None:
@@ -352,8 +338,8 @@ class StarAlgebra:
         """
         residual = x.canonical_form
         degree = residual.max_polynomial_degree()
-        if degree > self.max_degree:
-            raise ValueError(f"degree bound {self.max_degree} exceeded")
+        if degree > MAX_DEGREE:
+            raise ValueError(f"degree bound {MAX_DEGREE} exceeded")
         coefficients: dict[tuple[int, int], Scalar] = {}
         for n in range(degree, -1, -1):
             for b in range(n, -1, -1):
@@ -386,15 +372,13 @@ class StarAlgebra:
         return self.class_of(time_reversal(x.canonical_form))
 
 
-def time_evolution(w: WeylElement, params: ModelParams | None = None) -> WeylElement:
+def time_evolution(w: WeylElement, params: ModelParams) -> WeylElement:
     """The translation-by-one automorphism of the Weyl algebra.
 
     Sends q to ((alpha+alpha^-1)/2) q + p and p to
     ((alpha-alpha^-1)/2)^2 q + ((alpha+alpha^-1)/2) p; at alpha = 1 this is
     q -> q + p, p -> p.  Extended multiplicatively in normal order.
     """
-    if params is None:
-        params = ModelParams.symbolic()
     half_sum = params.alpha_plus_inverse() * Fraction(1, 2)
     quarter_square = (
         params.alpha_power(2) - Scalar.rational(2) + params.alpha_power(-2)

@@ -1,11 +1,23 @@
-"""Shared hypothesis strategies for algebra elements."""
+"""Shared hypothesis strategies for algebra elements, and a memory probe."""
 
+import tracemalloc
 from fractions import Fraction
 
 from hypothesis import strategies as st
 
 from latticebv.cochains import Cochain, LatticeFunction
 from latticebv.scalars import Scalar
+
+
+def peak_allocation(fn) -> int:
+    """The traced peak of Python allocations, in bytes, while ``fn()`` runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
 
 fractions = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
 

@@ -7,10 +7,7 @@ pass/fail line (run with ``pytest -s`` to see them as they happen).
 
 from fractions import Fraction
 
-import pytest
-
-from latticebv import checks as checks_module
-from latticebv.checks import run_check
+from latticebv.checks import CheckConfig, run_check
 from latticebv.cochains import Cochain
 from latticebv.complexes import ModelParams, d_quantum
 from latticebv.operad import Interval
@@ -24,15 +21,8 @@ MASSLESS = ModelParams.massless()
 SYMBOLIC = ModelParams.symbolic()
 
 
-@pytest.fixture(scope="module", autouse=True)
-def _cold_caches():
-    # budgets below are measured from a cold start of the shared star tables
-    checks_module._algebras.clear()
-    yield
-
-
 def _run(criterion: int, check_id: str, budget_ms: int):
-    result = run_check(check_id)
+    result = run_check(check_id, CheckConfig(seed=0, hbar=None, alpha=None))
     print(
         f"criterion {criterion:>2} [{check_id}]: {result.status.upper()} "
         f"({result.elapsed_ms} ms, budget {budget_ms} ms)"

@@ -18,6 +18,8 @@ from latticebv.checks import (
 )
 from latticebv.cli import main
 
+DEFAULTS = CheckConfig(seed=0, hbar=None, alpha=None)
+
 
 def test_registry_has_the_full_suite():
     assert len(CHECK_IDS) == 23
@@ -28,16 +30,16 @@ def test_registry_has_the_full_suite():
 
 def test_unknown_id_is_an_error():
     with pytest.raises(ValueError):
-        run_check("nonexistent")
+        run_check("nonexistent", DEFAULTS)
 
 
 def test_cheap_checks_pass_with_witnesses():
-    result = run_check("kernel-functions")
+    result = run_check("kernel-functions", DEFAULTS)
     assert result.status == "pass"
-    result = run_check("chain-level-product")
+    result = run_check("chain-level-product", DEFAULTS)
     assert result.status == "pass"
     assert "delta[0]*delta[2]" in result.witness["product"]
-    result = run_check("relocation-4.3")
+    result = run_check("relocation-4.3", DEFAULTS)
     assert result.status == "pass"
     assert result.witness["certificate"]["verified"] is True
 
@@ -74,7 +76,7 @@ def test_certificate_witness_rejects_bogus_certificate_under_optimize():
 
 
 def test_reports_and_exit_codes():
-    results = run_suite(["kernel-functions", "chain-level-product"])
+    results = run_suite(["kernel-functions", "chain-level-product"], DEFAULTS)
     text = emit_report(results, "text")
     assert "PASS" in text and "2/2 checks passed" in text
     payload = json.loads(emit_report(results, "json"))
@@ -98,7 +100,7 @@ def test_crashing_check_is_reported_as_error(monkeypatch):
         return 1 // 0
 
     monkeypatch.setitem(checks._BY_ID, "kernel-functions", ("crashes", crash))
-    results = run_suite(["kernel-functions", "chain-level-product"])
+    results = run_suite(["kernel-functions", "chain-level-product"], DEFAULTS)
     assert [r.status for r in results] == ["error", "pass"]
     assert results[0].witness == {
         "error": "ZeroDivisionError",
@@ -109,7 +111,7 @@ def test_crashing_check_is_reported_as_error(monkeypatch):
 
 
 def test_empty_selection():
-    results = run_suite([])
+    results = run_suite([], DEFAULTS)
     assert results == []
     assert json.loads(emit_report(results, "json")) == []
     assert suite_exit_code(results) == 0
@@ -117,7 +119,8 @@ def test_empty_selection():
 
 def test_reports_are_deterministic():
     def snapshot():
-        results = run_suite(["gamma-equivariance", "q-injective"], CheckConfig(seed=42))
+        config = CheckConfig(seed=42, hbar=None, alpha=None)
+        results = run_suite(["gamma-equivariance", "q-injective"], config)
         for r in results:
             r.elapsed_ms = 0
         return emit_report(results, "json")
@@ -181,10 +184,40 @@ def test_cli_rejects_bad_interval(capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["nf", "delta[0]", "--alpha", "1/0"],
+        ["nf", "delta[0]", "--interval", "0,1/0"],
+        ["check", "--id", "kernel-functions", "--hbar", "1/0"],
+        ["star", "delta[0]", "delta[0]", "--hbar", "1/0"],
+        ["cohomology", "--interval", "0,4", "--maxdeg", "1", "--alpha", "1/0"],
+    ],
+)
+def test_cli_rejects_zero_denominators(argv, capsys):
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: zero denominator")
+
+
+def test_cli_on_a_very_wide_interval(capsys):
+    wide = "--interval=-1000000000,1000000000"
+    assert main(["nf", "delta[0]", wide]) == 0
+    assert json.loads(capsys.readouterr().out)["normal_form"] == "delta[0]"
+    assert main(["cohomology", wide, "--maxdeg", "0"]) == 0
+    assert json.loads(capsys.readouterr().out) == {"0": 1}
+    assert main(["cohomology", wide, "--maxdeg", "1"]) == 2
+    assert "exceeds" in capsys.readouterr().err
+
+
 def test_full_suite_passes_end_to_end():
-    # the complete named suite: 23 entries, all passing, exit code 0
-    results = run_suite()
+    # the complete named suite: 23 entries, all passing, exit code 0, and
+    # the JSON report equal to the recorded one with elapsed times zeroed
+    results = run_suite(None, DEFAULTS)
     assert len(results) == 23
     assert [r.id for r in results] == list(CHECK_IDS)
     assert all(r.status == "pass" for r in results), emit_report(results, "text")
     assert suite_exit_code(results) == 0
+    for r in results:
+        r.elapsed_ms = 0
+    recorded = json.loads((Path(__file__).parent / "data" / "check_all.json").read_text())
+    assert json.loads(emit_report(results, "json")) == recorded

@@ -121,37 +121,37 @@ def test_bracket_is_bv_defect(x, y):
 
 
 def test_kernel_function_values():
-    assert kernel_function("u", 3) == Scalar.alpha(3)
-    assert kernel_function("v", 3) == Scalar.alpha(-3)
-    assert kernel_function("A", 0) == Scalar.one()
-    assert kernel_function("B", 0).is_zero
-    assert kernel_function("B", 2) == ALPHA + Scalar.alpha(-1)
-    assert kernel_function("B", -2) == -(ALPHA + Scalar.alpha(-1))
+    assert kernel_function("u", 3, SYMBOLIC) == Scalar.alpha(3)
+    assert kernel_function("v", 3, SYMBOLIC) == Scalar.alpha(-3)
+    assert kernel_function("A", 0, SYMBOLIC) == Scalar.one()
+    assert kernel_function("B", 0, SYMBOLIC).is_zero
+    assert kernel_function("B", 2, SYMBOLIC) == ALPHA + Scalar.alpha(-1)
+    assert kernel_function("B", -2, SYMBOLIC) == -(ALPHA + Scalar.alpha(-1))
     for x in range(-6, 7):
         assert kernel_function("B", x, MASSLESS) == Scalar.rational(x)
     with pytest.raises(ValueError):
-        kernel_function("w", 0)
+        kernel_function("w", 0, SYMBOLIC)
 
 
 def test_kernels_are_harmonic():
     for kind in ("u", "v", "A", "B"):
         for x in range(-8, 9):
             lhs = (
-                kernel_function(kind, x - 1)
-                - AP1 * kernel_function(kind, x)
-                + kernel_function(kind, x + 1)
+                kernel_function(kind, x - 1, SYMBOLIC)
+                - AP1 * kernel_function(kind, x, SYMBOLIC)
+                + kernel_function(kind, x + 1, SYMBOLIC)
             )
             assert lhs.is_zero, (kind, x)
 
 
 def test_phi_values():
-    assert phi(LatticeFunction.delta(0)) == WeylElement.q()
+    assert phi(LatticeFunction.delta(0), SYMBOLIC) == WeylElement.q()
     half = Fraction(1, 2)
-    assert phi(LatticeFunction.delta(1)) == WeylElement(
+    assert phi(LatticeFunction.delta(1), SYMBOLIC) == WeylElement(
         {(1, 0): AP1 * half, (0, 1): Scalar.one()}
     )
     expected_q = (Scalar.alpha(2) - Scalar.rational(2) + Scalar.alpha(-2)) * half
-    assert phi(LatticeFunction({2: 1, 0: -1})) == WeylElement(
+    assert phi(LatticeFunction({2: 1, 0: -1}), SYMBOLIC) == WeylElement(
         {(1, 0): expected_q, (0, 1): AP1}
     )
 

@@ -32,17 +32,17 @@ def test_interval_legality():
         Interval(0, 2)
     with pytest.raises(ValueError):
         Interval(0, Fraction(3, 2))
-    assert Interval(0, Fraction(5, 2)).field_sites() == (1, 2)
+    assert tuple(Interval(0, Fraction(5, 2)).field_sites()) == (1, 2)
 
 
 def test_interval_sites():
     iv = Interval(0, 5)
-    assert iv.field_sites() == (1, 2, 3, 4)
-    assert iv.antifield_sites() == (2, 3)
+    assert tuple(iv.field_sites()) == (1, 2, 3, 4)
+    assert tuple(iv.antifield_sites()) == (2, 3)
     half = Interval(Fraction(-3, 2), 4)
-    assert half.field_sites() == (-1, 0, 1, 2, 3)
-    assert half.antifield_sites() == (0, 1, 2)
-    assert Interval(-4, Fraction(-3, 2)).field_sites() == (-3, -2)
+    assert tuple(half.field_sites()) == (-1, 0, 1, 2, 3)
+    assert tuple(half.antifield_sites()) == (0, 1, 2)
+    assert tuple(Interval(-4, Fraction(-3, 2)).field_sites()) == (-3, -2)
     assert Interval.parse("-3/2,4") == half
     assert str(half) == "(-3/2,4)"
     iv = Interval(0, 3)

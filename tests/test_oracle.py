@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from latticebv import oracle
+from latticebv.cochains import Monomial
 from latticebv.complexes import ModelParams, d_quantum
 from latticebv.operad import Interval
 from latticebv.oracle import (
@@ -18,14 +19,15 @@ from latticebv.oracle import (
     truncated_basis,
 )
 
-from strategies import seeded_cochain
+from strategies import peak_allocation, seeded_cochain
 
 F = Fraction
 
 
 def test_v_level_dimensions():
+    # the linear truncation: the two-term complex plus the constants
     spec = TruncationSpec(Interval(0, 5), 1, F(1), F(1))
-    assert cohomology_oracle(spec, include_unit=False) == {-1: 0, 0: 2}
+    assert cohomology_oracle(spec) == {-1: 0, 0: 3}
 
 
 def test_full_truncation_dimensions():
@@ -71,8 +73,28 @@ def test_inclusion_reuses_the_outer_complex(monkeypatch):
 def test_basis_guard():
     with pytest.raises(BasisTooLargeError):
         truncated_basis(Interval(0, 200), 3)
-    with pytest.raises(ValueError):
-        truncated_basis(Interval(0, 5), 2, include_unit=False)
+
+
+# half-width 10^5: a tuple of the sites alone would take several MB
+WIDE = Interval(-100000, 100000)
+
+
+def test_basis_guard_rejects_a_wide_interval_without_listing_sites():
+    def rejected():
+        with pytest.raises(BasisTooLargeError):
+            truncated_basis(WIDE, 1)
+
+    assert peak_allocation(rejected) < 2**20
+    with pytest.raises(BasisTooLargeError):  # more sites than sys.maxsize
+        truncated_basis(Interval(-(10**30), 10**30), 1)
+
+
+def test_maxdeg_zero_on_a_wide_interval_lists_no_sites():
+    spec = TruncationSpec(WIDE, 0, F(1), F(2))
+    assert peak_allocation(lambda: truncated_basis(WIDE, 0)) < 2**20
+    assert peak_allocation(lambda: cohomology_oracle(spec)) < 2**20
+    assert truncated_basis(WIDE, 0) == {0: [Monomial.UNIT]}
+    assert cohomology_oracle(spec) == {0: 1}
 
 
 def test_truncation_degrees():
@@ -186,15 +208,14 @@ def test_basis_guard_counts_before_building(monkeypatch):
         truncated_basis(Interval(0, 200), 3)
 
 
-@pytest.mark.parametrize("include_unit", [True, False])
-def test_basis_size_formula_matches_the_built_basis(include_unit, monkeypatch):
+def test_basis_size_formula_matches_the_built_basis(monkeypatch):
     # a guard one below the true size must reject, the true size must pass
     for interval in (Interval(0, 3), Interval(0, 5), Interval(-3, 4), Interval(0, F(9, 2))):
-        for maxdeg in range(0, 5 if include_unit else 2):
-            size = sum(map(len, truncated_basis(interval, maxdeg, include_unit).values()))
+        for maxdeg in range(0, 5):
+            size = sum(map(len, truncated_basis(interval, maxdeg).values()))
             monkeypatch.setattr(oracle, "BASIS_GUARD", size - 1)
             with pytest.raises(BasisTooLargeError):
-                truncated_basis(interval, maxdeg, include_unit)
+                truncated_basis(interval, maxdeg)
             monkeypatch.setattr(oracle, "BASIS_GUARD", size)
-            truncated_basis(interval, maxdeg, include_unit)
+            truncated_basis(interval, maxdeg)
             monkeypatch.undo()

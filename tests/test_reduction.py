@@ -17,7 +17,7 @@ from latticebv.reduction import (
 )
 from latticebv.scalars import HBAR, Scalar
 
-from strategies import seeded_cochain
+from strategies import peak_allocation, seeded_cochain
 
 d = Cochain.field
 bd = Cochain.antifield
@@ -169,3 +169,13 @@ def test_reduction_linear_over_scalars():
         normal_form(d(-2), J33, Window(0), SYMBOLIC).normal_form * Fraction(-3, 2),
     ]
     assert cert.normal_form == parts[0] + parts[1]
+
+
+def test_wide_interval_reduces_without_listing_sites():
+    # half-width 10^5: a tuple or set of the sites alone would take several MB
+    wide = Interval(-100000, 100000)
+    c = d(3) * d(-2) + d(0)
+    certs = []
+    peak = peak_allocation(lambda: certs.append(normal_form(c, wide, Window(0), SYMBOLIC)))
+    assert peak < 2**20
+    assert certs[0].normal_form == normal_form(c, J44, Window(0), SYMBOLIC).normal_form
