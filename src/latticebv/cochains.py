@@ -471,16 +471,12 @@ def pairing(f: LatticeFunction, g: LatticeFunction) -> Scalar:
 def support_within(c: Cochain, interval) -> bool:
     """Whether ``c`` is an observable of the given interval.
 
-    Field sites must lie in the open interval (a, b) and antifield sites in
-    the shrunken open interval (a+1, b-1); ``interval`` only needs rational
-    endpoints ``a`` and ``b``.
+    Every field site must be one of ``interval.field_sites()`` and every
+    antifield site one of ``interval.antifield_sites()``; the rule that picks
+    them lives in :class:`~latticebv.operad.Interval`.
     """
-    a, b = interval.a, interval.b
-    for m, _ in c.terms():
-        for s, _e in m.fields:
-            if not (a < s < b):
-                return False
-        for s in m.antifields:
-            if not (a + 1 < s < b - 1):
-                return False
-    return True
+    fields, antifields = interval.field_sites(), interval.antifield_sites()
+    return all(
+        all(s in fields for s, _ in m.fields) and all(s in antifields for s in m.antifields)
+        for m, _ in c.terms()
+    )

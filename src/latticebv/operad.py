@@ -15,7 +15,7 @@ two symmetries: integer translation and site negation (time reversal).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .cochains import Cochain, LatticeFunction, support_within
@@ -44,12 +44,17 @@ class Interval:
 
     a: Fraction
     b: Fraction
+    _field_sites: range = field(init=False, repr=False, compare=False)
+    _antifield_sites: range = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "a", Fraction(self.a))
-        object.__setattr__(self, "b", Fraction(self.b))
-        if self.b - self.a <= MIN_LENGTH:
-            raise ValueError(f"interval ({self.a}, {self.b}) is too little: length must exceed {MIN_LENGTH}")
+        a, b = Fraction(self.a), Fraction(self.b)
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        if b - a <= MIN_LENGTH:
+            raise ValueError(f"interval ({a}, {b}) is too little: length must exceed {MIN_LENGTH}")
+        object.__setattr__(self, "_field_sites", range(math.floor(a) + 1, math.ceil(b)))
+        object.__setattr__(self, "_antifield_sites", range(math.floor(a) + 2, math.ceil(b) - 1))
 
     @classmethod
     def parse(cls, text: str) -> "Interval":
@@ -65,14 +70,19 @@ class Interval:
     def field_sites(self) -> range:
         """Integer points strictly inside (a, b).
 
-        A ``range``, so membership and size cost O(1) however wide the
-        interval is; nothing materializes the sites unless a caller iterates.
+        A ``range``, built once with the interval, so membership and size
+        cost O(1) however wide the interval is; nothing materializes the
+        sites unless a caller iterates.  An endpoint is never a site:
+
+        >>> iv = Interval(Fraction(-3, 2), Fraction(10, 3))
+        >>> list(iv.field_sites()), list(iv.antifield_sites())
+        ([-1, 0, 1, 2, 3], [0, 1, 2])
         """
-        return range(math.floor(self.a) + 1, math.ceil(self.b))
+        return self._field_sites
 
     def antifield_sites(self) -> range:
         """Integer points strictly inside (a+1, b-1), as a ``range``."""
-        return range(math.floor(self.a + 1) + 1, math.ceil(self.b - 1))
+        return self._antifield_sites
 
     def contains(self, other: "Interval") -> bool:
         return self.a <= other.a and other.b <= self.b

@@ -19,6 +19,7 @@ input beyond them raises ``ParseError`` before the work is done.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from math import comb
 
@@ -27,7 +28,12 @@ from .scalars import Scalar
 
 __all__ = ["ParseError", "parse_cochain", "parse_scalar", "MAX_NESTING", "MAX_EXPONENT", "MAX_POWER_TERMS"]
 
-_SYMBOLS = set("[]()^*+-/")
+# ASCII only: any other character, a Unicode digit or letter too, is an error
+_TOKEN = re.compile(
+    r"(?P<number>[0-9]+)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<symbol>[\[\]()^*+\-/])"
+    r"|(?P<space>\s+)|(?P<other>.)",
+    re.ASCII | re.DOTALL,
+)
 
 # deepest parenthesis nesting accepted; each level costs a few stack frames
 MAX_NESTING = 100
@@ -49,33 +55,13 @@ class ParseError(ValueError):
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
     tokens: list[tuple[str, str, int]] = []
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            tokens.append(("number", text[i:j], i))
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(("name", text[i:j], i))
-            i = j
-            continue
-        if ch in _SYMBOLS:
-            tokens.append((ch, ch, i))
-            i += 1
-            continue
-        raise ParseError(f"unknown character {ch!r}", i)
-    tokens.append(("end", "", n))
+    for match in _TOKEN.finditer(text):
+        kind, value, position = match.lastgroup, match.group(), match.start()
+        if kind == "other":
+            raise ParseError(f"unknown character {value!r}", position)
+        if kind != "space":
+            tokens.append((value if kind == "symbol" else kind, value, position))
+    tokens.append(("end", "", len(text)))
     return tokens
 
 

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ._sparse import accumulate
+from ._sparse import accumulate, wrap
 from .cochains import Cochain, Monomial, Site, support_within
 from .complexes import ModelParams, d_quantum
 from .operad import Interval
@@ -147,13 +147,13 @@ def rewrite_step(
         )
 
     rest = m.lower_field(site)
-    ap1 = params.alpha_plus_inverse()
-    # y != mirror because site != y, so the two terms never merge
-    terms = {rest.raise_field(y): ap1, rest.raise_field(mirror): -Scalar.one()}
-    derivative = Cochain({rest: Scalar.one()}).partial_field(y)
-    replacement = Cochain(terms) - derivative * params.hbar
-
-    homotopy_term = Cochain({Monomial(rest.fields, (y,)): Scalar.one()})
+    one, e = Scalar.one(), rest.field_exponent(y)
+    # the terms carry delta[y] to the powers e+1, e and e-1, so no two merge
+    terms = {rest.raise_field(y): params.alpha_plus_inverse(), rest.raise_field(mirror): -one}
+    if e and params.hbar:
+        terms[rest.lower_field(y)] = params.hbar * -e
+    replacement = wrap(Cochain, terms)
+    homotopy_term = wrap(Cochain, {Monomial(rest.fields, (y,)): one})
 
     before = _occurrence_distances(m, window)
     for produced, _ in replacement.terms():

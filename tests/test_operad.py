@@ -50,6 +50,38 @@ def test_interval_sites():
     assert iv.shift(2) == Interval(2, 5)
 
 
+ENDPOINTS = sorted(
+    {Fraction(n, q) for q in (1, 2, 3, 4) for n in range(-5 * q, 5 * q + 1)} | {Fraction(-7, 5), Fraction(13, 6)}
+)
+
+
+def test_site_rule_matches_open_interval_reference():
+    # integer, half-integer and other rational endpoints on [-5, 5]
+    for a in ENDPOINTS:
+        for b in ENDPOINTS:
+            if b - a <= 2:
+                continue
+            iv = Interval(a, b)
+            fields = [s for s in range(-7, 8) if a < s < b]
+            antifields = [s for s in range(-7, 8) if a + 1 < s < b - 1]
+            assert list(iv.field_sites()) == fields
+            assert list(iv.antifield_sites()) == antifields
+            for s in range(-7, 8):
+                assert support_within(d(s), iv) == (s in fields)
+                assert support_within(bd(s), iv) == (s in antifields)
+                assert support_within(bd(s) * d(0), iv) == (s in antifields and 0 in fields)
+
+
+def test_interval_identity_ignores_stored_sites():
+    iv = Interval(Fraction(-3, 2), 4)
+    assert repr(iv) == "Interval(a=Fraction(-3, 2), b=Fraction(4, 1))"
+    assert hash(iv) == hash((iv.a, iv.b))
+    twin = Interval(Fraction(-3, 2), 4)
+    object.__setattr__(twin, "_field_sites", range(0))
+    object.__setattr__(twin, "_antifield_sites", range(0))
+    assert twin == iv and hash(twin) == hash(iv) and repr(twin) == repr(iv)
+
+
 def test_interval_operations_validate():
     with pytest.raises(ValueError):
         IntervalOperation((Interval(0, 3), Interval(2, 5)), Interval(0, 8))

@@ -64,6 +64,11 @@ def test_errors_carry_positions():
         parse_cochain("delta[0] @ delta[1]")
     with pytest.raises(ParseError):
         parse_scalar("delta[0]")
+    # only ASCII digits and letters: a superscript or Arabic-Indic digit is an unknown character
+    for text, position in (("²", 0), ("delta[²]", 6), ("delta[0]^²", 9), ("٣*delta[0]", 0)):
+        with pytest.raises(ParseError, match="unknown character") as err:
+            parse_cochain(text)
+        assert err.value.position == position
 
 
 @given(cochains(max_poly_degree=4))

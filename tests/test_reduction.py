@@ -45,6 +45,25 @@ def test_rewrite_step_with_spectator():
     assert m == repl + d_quantum(h, MASSLESS)
 
 
+def test_rewrite_step_neighbour_squared_symbolic():
+    # rest = delta[1]^2, so the derivative term is -2*hbar*delta[1]
+    m = Monomial.make({2: 1, 1: 2})
+    repl, h = rewrite_step(m, 2, J33, Window(0), SYMBOLIC)
+    assert repl == d(1) ** 3 * AP1 - d(0) * d(1) ** 2 - d(1) * (HBAR * 2)
+    assert h == bd(1) * d(1) ** 2
+    assert Cochain({m: Scalar.one()}) == repl + d_quantum(h, SYMBOLIC)
+
+
+def test_rewrite_step_neighbour_squared_at_hbar_zero():
+    params = ModelParams.at(hbar=0, alpha=1)
+    m = Monomial.make({2: 1, 1: 2})
+    repl, h = rewrite_step(m, 2, J33, Window(0), params)
+    stored = dict(repl.terms())
+    assert stored == {Monomial.make({1: 3}): Scalar.rational(2), Monomial.make({0: 1, 1: 2}): -Scalar.one()}
+    assert h == bd(1) * d(1) ** 2
+    assert Cochain({m: Scalar.one()}) == repl + d_quantum(h, params)
+
+
 def test_rewrite_step_mirrored():
     repl, h = rewrite_step(Monomial.make({-1: 1}), -1, J33, Window(0), SYMBOLIC)
     assert repl == d(0) * AP1 - d(1)

@@ -7,10 +7,12 @@ missing one (AttributeError or KeyError), and uninstalling restores the
 package.
 """
 
+import inspect
 import sys
 from pathlib import Path
 
 from latticebv import scalars
+from latticebv.reduction import rewrite_step
 
 BENCHMARK = str(Path(__file__).resolve().parents[1] / "benchmark")
 
@@ -30,3 +32,12 @@ def test_benchmark_entry_points_are_defined():
         tracer.uninstall()
     assert scalars.Scalar.__dict__["__add__"] is add
     assert len(tracer.span_names) == sum(map(len, spans.ENTRY_POINTS.values()))
+
+
+def test_rewrite_step_keeps_its_positional_signature():
+    # the tracer counts distinct rewrite_step inputs keyed on its first five positional arguments
+    parameters = inspect.signature(rewrite_step).parameters.values()
+    assert [(p.name, p.kind) for p in parameters] == [
+        (name, inspect.Parameter.POSITIONAL_OR_KEYWORD)
+        for name in ("m", "site", "interval", "window", "params")
+    ]
