@@ -209,6 +209,26 @@ def test_cli_on_a_very_wide_interval(capsys):
     assert "exceeds" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["nf", "delta[3]^256", "--interval=-4,4"], ["star", "delta[3]^256", "delta[0]"]],
+)
+def test_cli_rejects_high_powers_far_from_the_window(argv):
+    # the work bound is checked before reducing: exit 2 at once, not a hang
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "latticebv.cli", *argv],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=20,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: reduction may rewrite more than")
+    assert not proc.stdout
+
+
 def test_full_suite_passes_end_to_end():
     # the complete named suite: 23 entries, all passing, exit code 0, and
     # the JSON report equal to the recorded one with elapsed times zeroed

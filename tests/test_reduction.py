@@ -3,10 +3,12 @@ from fractions import Fraction
 
 import pytest
 
+from latticebv import reduction
 from latticebv.cochains import Cochain, Monomial
 from latticebv.complexes import ModelParams, d_quantum
 from latticebv.operad import Interval
 from latticebv.reduction import (
+    STRATEGIES,
     HomotopyCertificate,
     IrreducibleSiteError,
     Window,
@@ -115,6 +117,32 @@ def test_normal_form_validates_input():
         normal_form(d(1), Interval(0, 5), Window(0), MASSLESS)  # 0 not a field site
     with pytest.raises(ValueError):
         normal_form(d(1), J33, Window(0), MASSLESS, strategy="zigzag")
+
+
+@pytest.mark.parametrize("c", [d(3) ** 3, d(3) ** 4, d(-3) ** 2 * d(3) ** 2])
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_each_monomial_is_rewritten_once_per_site(c, strategy, monkeypatch):
+    seen = []
+
+    def recording(m, site, *rest):
+        seen.append((m, site))
+        return rewrite_step(m, site, *rest)
+
+    monkeypatch.setattr(reduction, "rewrite_step", recording)
+    cert = normal_form(c, J44, Window(0), SYMBOLIC, strategy)
+    assert seen and len(seen) == len(set(seen))
+    assert verify_certificate(cert, SYMBOLIC)
+
+
+def test_rewrite_guard_counts_monomials_before_reducing(monkeypatch):
+    # degree 3 over the sites 0..3: comb(3 + 4, 4) = 35 monomials
+    monkeypatch.setattr(reduction, "REWRITE_GUARD", 34)
+    with pytest.raises(ValueError, match="rewrite more than 34"):
+        normal_form(d(3) ** 3, J44, Window(0), SYMBOLIC)
+    # already in the window: comb(8 + 2, 2) = 45, but nothing is rewritten
+    assert normal_form(d(0) ** 8, J44, Window(0), SYMBOLIC).homotopy.is_zero
+    monkeypatch.setattr(reduction, "REWRITE_GUARD", 35)
+    assert verify_certificate(normal_form(d(3) ** 3, J44, Window(0), SYMBOLIC), SYMBOLIC)
 
 
 def test_relocation_of_delta0():
