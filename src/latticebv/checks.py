@@ -5,14 +5,20 @@ at desk scale; reduction-based checks carry a homotopy certificate in their
 witness, re-verified through the independent differential implementation in
 :mod:`latticebv.oracle` (a pass is never reported on the strength of the
 rewriting engine alone).  Runs are deterministic for a fixed seed.
+
+To add a check, define one function ``fn(cfg) -> (ok, witness)`` under
+``@_check(id, statement)``; nothing else registers it.  ``CHECK_IDS``, the
+``--list`` output and the report order follow the order of definition.  The
+statement is a decorator argument, not a docstring, so ``python -OO`` keeps it.
 """
 
 from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import product
 from random import Random
 
 from .cochains import Cochain, LatticeFunction, Monomial, pairing
@@ -65,15 +71,18 @@ class CheckConfig:
 
     ``None`` means the symbolic variable.  Lemma-style checks pin their own
     parameters (their statements say which); the generic property checks use
-    these.  ``latticebv check`` defaults to seed 0 with symbolic hbar and alpha.
+    ``params``, built once here, so a non-unit alpha is a ``ValueError``
+    before any check runs.  ``latticebv check`` defaults to seed 0 with
+    symbolic hbar and alpha.
     """
 
     seed: int
     hbar: Fraction | None
     alpha: Fraction | None
+    params: ModelParams = field(init=False, repr=False, compare=False)
 
-    def params(self) -> ModelParams:
-        return ModelParams.at(self.hbar, self.alpha)
+    def __post_init__(self):
+        object.__setattr__(self, "params", ModelParams.at(self.hbar, self.alpha))
 
 
 @dataclass
@@ -169,9 +178,23 @@ def _certificate_witness(cert: HomotopyCertificate, params: ModelParams) -> dict
 
 # -- individual checks --------------------------------------------------------
 
+_BY_ID: dict[str, tuple[str, object]] = {}
 
+
+def _check(check_id: str, statement: str):
+    """Register the decorated ``fn(cfg)`` under ``check_id``, after those defined above it."""
+
+    def register(fn):
+        _BY_ID[check_id] = (statement, fn)
+        return fn
+
+    return register
+
+
+@_check("dsq-zero",
+        "the classical differential, the odd Laplacian and their sum with weight hbar all square to zero")
 def _check_dsq_zero(cfg: CheckConfig):
-    params = cfg.params()
+    params = cfg.params
     rng = Random(cfg.seed)
     for i in range(1000):
         c = _random_cochain(rng)
@@ -201,6 +224,8 @@ def _bracket_reference(x: Cochain, y: Cochain) -> Cochain:
     return out
 
 
+@_check("bv-identity",
+        "the failure of the odd Laplacian to be a derivation is exactly the shifted Poisson bracket")
 def _check_bv_identity(cfg: CheckConfig):
     rng = Random(cfg.seed)
     for a in range(-2, 3):
@@ -217,8 +242,9 @@ def _check_bv_identity(cfg: CheckConfig):
     return True, {"rounds": 500, "generator_pairs": 25}
 
 
+@_check("pairing-compat", "the lattice Laplacian is self-adjoint for the degree-1 pairing")
 def _check_pairing_compat(cfg: CheckConfig):
-    params = cfg.params()
+    params = cfg.params
     rng = Random(cfg.seed)
     for i in range(500):
         f = _random_lattice_function(rng)
@@ -230,8 +256,9 @@ def _check_pairing_compat(cfg: CheckConfig):
     return True, {"rounds": 500}
 
 
+@_check("q-injective", "the lattice Laplacian is injective on finitely supported functions")
 def _check_q_injective(cfg: CheckConfig):
-    params = cfg.params()
+    params = cfg.params
     rng = Random(cfg.seed)
     for i in range(500):
         f = _random_lattice_function(rng)
@@ -246,6 +273,8 @@ def _check_q_injective(cfg: CheckConfig):
     return True, {"rounds": 500}
 
 
+@_check("kernel-functions",
+        "the four harmonic kernels u, v, A, B are annihilated by the lattice Laplacian")
 def _check_kernel_functions(cfg: CheckConfig):
     params = _SYMBOLIC
     ap1 = params.alpha_plus_inverse()
@@ -272,6 +301,7 @@ def _check_kernel_functions(cfg: CheckConfig):
     return True, {"sites": "[-8, 8]", "kinds": list(KERNEL_KINDS)}
 
 
+@_check("phi-welldefined", "the cohomology classifier vanishes on Laplacian images")
 def _check_phi_welldefined(cfg: CheckConfig):
     rng = Random(cfg.seed)
     for i in range(200):
@@ -281,6 +311,7 @@ def _check_phi_welldefined(cfg: CheckConfig):
     return True, {"rounds": 200}
 
 
+@_check("eq1-massless", "at alpha = 1 the classifier computes the total mass and the first moment")
 def _check_eq1_massless(cfg: CheckConfig):
     rng = Random(cfg.seed)
     for i in range(200):
@@ -305,6 +336,8 @@ _FOUR_TERM = "3*delta[0]*delta[1] - 2*delta[-1]*delta[1] - 2*delta[0]*delta[2] +
 _FOUR_TERM_HOMOTOPY = "bdelta[1]*delta[-1] - bdelta[0]*delta[0] - 2*bdelta[1]*delta[0]"
 
 
+@_check("homotopy-certificate-3.5",
+        "the four-term product cochain equals hbar plus an exact term, with explicit homotopy")
 def _check_homotopy_certificate(cfg: CheckConfig):
     params = _MASSLESS
     c = parse_cochain(_FOUR_TERM)
@@ -323,6 +356,8 @@ def _check_homotopy_certificate(cfg: CheckConfig):
     }
 
 
+@_check("massless-commutator",
+        "[delta2 - delta1] star [delta0] minus the reverse order reduces to hbar at alpha = 1")
 def _check_massless_commutator(cfg: CheckConfig):
     algebra = StarAlgebra(_MASSLESS, "massless35")
     x = algebra.class_of(parse_cochain("delta[2] - delta[1]"))
@@ -333,6 +368,8 @@ def _check_massless_commutator(cfg: CheckConfig):
     return True, {"certificate": _certificate_witness(comm.certificate, _MASSLESS)}
 
 
+@_check("massive-commutator",
+        "p star q - q star p = hbar for p = (1/2)[delta1 - delta-1], q = [delta0], symbolic alpha")
 def _check_massive_commutator(cfg: CheckConfig):
     algebra = StarAlgebra(_SYMBOLIC, "default")
     two_p = algebra.class_of(parse_cochain("delta[1] - delta[-1]"))
@@ -350,6 +387,8 @@ def _check_massive_commutator(cfg: CheckConfig):
     }
 
 
+@_check("chain-level-product",
+        "the factorization product of disjoint well-ordered factors is the plain product at the cochain level")
 def _check_chain_level_product(cfg: CheckConfig):
     left = (parse_cochain("delta[0]"), Interval(-2, Fraction(1, 2)))
     right = (parse_cochain("delta[2] - delta[1]"), Interval(Fraction(1, 2), 3))
@@ -364,6 +403,8 @@ def _check_chain_level_product(cfg: CheckConfig):
     return True, {"product": str(product)}
 
 
+@_check("general-fact-4.3",
+        "d_h(fbar * g) = d_h(fbar) * g + hbar <<f, g>> for finitely supported f, g")
 def _check_general_fact(cfg: CheckConfig):
     rng = Random(cfg.seed)
     hbar = _SYMBOLIC.hbar
@@ -379,6 +420,8 @@ def _check_general_fact(cfg: CheckConfig):
     return True, {"rounds": 300}
 
 
+@_check("relocation-4.3",
+        "delta0 relocates onto {2,3} as ((alpha+alpha^-1)^2 - 1) delta2 - (alpha+alpha^-1) delta3")
 def _check_relocation(cfg: CheckConfig):
     params = _SYMBOLIC
     ambient = Interval(-4, 4)
@@ -407,6 +450,8 @@ def _check_relocation(cfg: CheckConfig):
     }
 
 
+@_check("time-evolution-massless",
+        "translation by one site induces q -> q + p and p -> p at alpha = 1")
 def _check_time_evolution_massless(cfg: CheckConfig):
     algebra = StarAlgebra(_MASSLESS, "default")
     moved_q = algebra.to_weyl(algebra.translate_class(algebra.q_class, 1))
@@ -422,6 +467,8 @@ def _check_time_evolution_massless(cfg: CheckConfig):
     return True, {"q": str(moved_q), "p": str(moved_p)}
 
 
+@_check("time-evolution-matrix",
+        "translation by one site induces the mass-dependent matrix on q, p (symbolic alpha)")
 def _check_time_evolution_matrix(cfg: CheckConfig):
     params = _SYMBOLIC
     algebra = StarAlgebra(params, "default")
@@ -457,6 +504,7 @@ def _check_time_evolution_matrix(cfg: CheckConfig):
     }
 
 
+@_check("anti-involution", "site negation induces the anti-involution fixing q and negating p")
 def _check_anti_involution(cfg: CheckConfig):
     rng = Random(cfg.seed)
     # Weyl level: reverses products, squares to the identity
@@ -474,13 +522,12 @@ def _check_anti_involution(cfg: CheckConfig):
     # class level, massless: tau(x * y) = tau(y) * tau(x) on basis pairs
     algebra = StarAlgebra(_MASSLESS, "default")
     basis = _qp_basis(4)
-    for (a, b) in basis:
-        for (c, d) in basis:
-            x, y = algebra.psi(a, b), algebra.psi(c, d)
-            lhs = algebra.reverse_class(algebra.star(x, y))
-            rhs = algebra.star(algebra.reverse_class(y), algebra.reverse_class(x))
-            if lhs != rhs:
-                return False, {"pair": f"q^{a}p^{b}, q^{c}p^{d}"}
+    for (a, b), (c, d) in product(basis, repeat=2):
+        x, y = algebra.psi(a, b), algebra.psi(c, d)
+        lhs = algebra.reverse_class(algebra.star(x, y))
+        rhs = algebra.star(algebra.reverse_class(y), algebra.reverse_class(x))
+        if lhs != rhs:
+            return False, {"pair": f"q^{a}p^{b}, q^{c}p^{d}"}
     # generators agree with the Weyl-level anti-involution, symbolically
     sym = StarAlgebra(_SYMBOLIC, "default")
     if sym.to_weyl(sym.reverse_class(sym.q_class)) != WeylElement.q():
@@ -490,6 +537,8 @@ def _check_anti_involution(cfg: CheckConfig):
     return True, {"basis_pairs": len(basis) ** 2, "weyl_rounds": 100}
 
 
+@_check("fock-action",
+        "the coinvariant module is K[q] with q q^n = q^(n+1) and p q^n = n hbar q^(n-1)")
 def _check_fock_action(cfg: CheckConfig):
     rng = Random(cfg.seed)
     hbar = Scalar.hbar()
@@ -549,6 +598,8 @@ def _random_operation(
     return IntervalOperation(tuple(intervals), Interval(Fraction(lo), Fraction(hi)))
 
 
+@_check("gamma-equivariance",
+        "the ordering morphism to permutations is translation invariant, reversal equivariant and functorial")
 def _check_gamma_equivariance(cfg: CheckConfig):
     rng = Random(cfg.seed)
     for i in range(100):
@@ -595,6 +646,8 @@ _LC_PAIRS = [
 ]
 
 
+@_check("local-constancy",
+        "inclusions induce isomorphisms on truncated degree-0 cohomology of the expected dimension")
 def _check_local_constancy(cfg: CheckConfig):
     entries = []
     for inner_text, outer_text, maxdeg in _LC_PAIRS:
@@ -628,6 +681,8 @@ def _check_local_constancy(cfg: CheckConfig):
     return True, {"pairs": entries}
 
 
+@_check("weyl-iso",
+        "the correspondence q^a p^b <-> star powers is bijective and multiplicative up to total degree 6")
 def _check_weyl_iso(cfg: CheckConfig):
     algebra = StarAlgebra(_SYMBOLIC, "default")
     basis = _qp_basis(7)
@@ -649,53 +704,55 @@ def _check_weyl_iso(cfg: CheckConfig):
                 return False, {"identity": "triangularity", "basis": f"q^{a}p^{b}"}
     # multiplicativity: star structure constants match the Weyl relations
     pairs = 0
-    for a, b in basis:
-        for c, d in basis:
-            if a + b + c + d > 6:
-                continue
-            pairs += 1
-            lhs = algebra.to_weyl(algebra.star(algebra.psi(a, b), algebra.psi(c, d)))
-            rhs = WeylElement({(a, b): 1}) * WeylElement({(c, d): 1})
-            if lhs != rhs:
-                return False, {
-                    "pair": f"q^{a}p^{b} * q^{c}p^{d}",
-                    "lhs": str(lhs),
-                    "rhs": str(rhs),
-                }
+    for (a, b), (c, d) in product(basis, repeat=2):
+        if a + b + c + d > 6:
+            continue
+        pairs += 1
+        lhs = algebra.to_weyl(algebra.star(algebra.psi(a, b), algebra.psi(c, d)))
+        rhs = WeylElement({(a, b): 1}) * WeylElement({(c, d): 1})
+        if lhs != rhs:
+            return False, {
+                "pair": f"q^{a}p^{b} * q^{c}p^{d}",
+                "lhs": str(lhs),
+                "rhs": str(rhs),
+            }
     return True, {"basis_size": len(basis), "structure_pairs": pairs}
 
 
+@_check("mass-independence",
+        "star structure constants in the q, p basis contain no alpha and agree at alpha = 1, 2, 3")
 def _check_mass_independence(cfg: CheckConfig):
     symbolic = StarAlgebra(_SYMBOLIC, "default")
     specialized = [StarAlgebra(ModelParams.at(alpha=a), "default") for a in (1, 2, 3)]
     basis = _qp_basis(5)
     pairs = 0
-    for x in basis:
-        for y in basis:
-            if sum(x) + sum(y) > 4:
-                continue
-            pairs += 1
-            reference = symbolic.to_weyl(symbolic.star(symbolic.psi(*x), symbolic.psi(*y)))
-            for _, coeff in reference.terms():
-                if not coeff.is_alpha_free:
-                    return False, {
-                        "pair": f"{x} * {y}",
-                        "alpha_dependent": str(reference),
-                    }
-            for algebra in specialized:
-                got = algebra.to_weyl(algebra.star(algebra.psi(*x), algebra.psi(*y)))
-                if got != reference:
-                    return False, {
-                        "pair": f"{x} * {y}",
-                        "alpha": str(algebra.params.alpha),
-                        "got": str(got),
-                        "expected": str(reference),
-                    }
+    for x, y in product(basis, repeat=2):
+        if sum(x) + sum(y) > 4:
+            continue
+        pairs += 1
+        reference = symbolic.to_weyl(symbolic.star(symbolic.psi(*x), symbolic.psi(*y)))
+        for _, coeff in reference.terms():
+            if not coeff.is_alpha_free:
+                return False, {
+                    "pair": f"{x} * {y}",
+                    "alpha_dependent": str(reference),
+                }
+        for algebra in specialized:
+            got = algebra.to_weyl(algebra.star(algebra.psi(*x), algebra.psi(*y)))
+            if got != reference:
+                return False, {
+                    "pair": f"{x} * {y}",
+                    "alpha": str(algebra.params.alpha),
+                    "got": str(got),
+                    "expected": str(reference),
+                }
     return True, {"pairs": pairs, "alphas": ["symbolic", "1", "2", "3"]}
 
 
+@_check("confluence",
+        "both rewriting strategies produce identical normal forms, with verified certificates")
 def _check_confluence(cfg: CheckConfig):
-    params = cfg.params()
+    params = cfg.params
     rng = Random(cfg.seed)
     ambient = Interval(-6, 6)
     for i in range(500):
@@ -722,6 +779,7 @@ def _check_confluence(cfg: CheckConfig):
     return True, {"rounds": 500}
 
 
+@_check("star-associativity", "the star product is unital and associative on basis classes")
 def _check_star_associativity(cfg: CheckConfig):
     rng = Random(cfg.seed)
     algebra = StarAlgebra(_MASSLESS, "default")
@@ -731,19 +789,15 @@ def _check_star_associativity(cfg: CheckConfig):
     for x in classes:
         if algebra.star(unit, x) != x or algebra.star(x, unit) != x:
             return False, {"identity": "unitality"}
-    checked = 0
-    for x in classes:
-        for y in classes:
-            for z in classes:
-                lhs = algebra.star(algebra.star(x, y), z)
-                rhs = algebra.star(x, algebra.star(y, z))
-                if lhs != rhs:
-                    return False, {
-                        "x": str(x),
-                        "y": str(y),
-                        "z": str(z),
-                    }
-                checked += 1
+    for x, y, z in product(classes, repeat=3):
+        lhs = algebra.star(algebra.star(x, y), z)
+        rhs = algebra.star(x, algebra.star(y, z))
+        if lhs != rhs:
+            return False, {
+                "x": str(x),
+                "y": str(y),
+                "z": str(z),
+            }
     for x, y, z in _random_triples(rng, _qp_basis(6), 8, 200):
         cx, cy, cz = (algebra.psi(*t) for t in (x, y, z))
         if algebra.star(algebra.star(cx, cy), cz) != algebra.star(cx, algebra.star(cy, cz)):
@@ -753,131 +807,12 @@ def _check_star_associativity(cfg: CheckConfig):
         cx, cy, cz = (sym.psi(*t) for t in (x, y, z))
         if sym.star(sym.star(cx, cy), cz) != sym.star(cx, sym.star(cy, cz)):
             return False, {"triple": f"{x}, {y}, {z}", "alpha": "symbolic"}
-    return True, {"exhaustive_triples": checked, "random_triples": 200, "symbolic_triples": 20}
+    return True, {"exhaustive_triples": len(classes) ** 3, "random_triples": 200, "symbolic_triples": 20}
 
 
 # -- registry -----------------------------------------------------------------
 
-_REGISTRY: list[tuple[str, str, object]] = [
-    (
-        "dsq-zero",
-        "the classical differential, the odd Laplacian and their sum with weight hbar all square to zero",
-        _check_dsq_zero,
-    ),
-    (
-        "bv-identity",
-        "the failure of the odd Laplacian to be a derivation is exactly the shifted Poisson bracket",
-        _check_bv_identity,
-    ),
-    (
-        "pairing-compat",
-        "the lattice Laplacian is self-adjoint for the degree-1 pairing",
-        _check_pairing_compat,
-    ),
-    (
-        "q-injective",
-        "the lattice Laplacian is injective on finitely supported functions",
-        _check_q_injective,
-    ),
-    (
-        "kernel-functions",
-        "the four harmonic kernels u, v, A, B are annihilated by the lattice Laplacian",
-        _check_kernel_functions,
-    ),
-    (
-        "phi-welldefined",
-        "the cohomology classifier vanishes on Laplacian images",
-        _check_phi_welldefined,
-    ),
-    (
-        "eq1-massless",
-        "at alpha = 1 the classifier computes the total mass and the first moment",
-        _check_eq1_massless,
-    ),
-    (
-        "homotopy-certificate-3.5",
-        "the four-term product cochain equals hbar plus an exact term, with explicit homotopy",
-        _check_homotopy_certificate,
-    ),
-    (
-        "massless-commutator",
-        "[delta2 - delta1] star [delta0] minus the reverse order reduces to hbar at alpha = 1",
-        _check_massless_commutator,
-    ),
-    (
-        "massive-commutator",
-        "p star q - q star p = hbar for p = (1/2)[delta1 - delta-1], q = [delta0], symbolic alpha",
-        _check_massive_commutator,
-    ),
-    (
-        "chain-level-product",
-        "the factorization product of disjoint well-ordered factors is the plain product at the cochain level",
-        _check_chain_level_product,
-    ),
-    (
-        "general-fact-4.3",
-        "d_h(fbar * g) = d_h(fbar) * g + hbar <<f, g>> for finitely supported f, g",
-        _check_general_fact,
-    ),
-    (
-        "relocation-4.3",
-        "delta0 relocates onto {2,3} as ((alpha+alpha^-1)^2 - 1) delta2 - (alpha+alpha^-1) delta3",
-        _check_relocation,
-    ),
-    (
-        "time-evolution-massless",
-        "translation by one site induces q -> q + p and p -> p at alpha = 1",
-        _check_time_evolution_massless,
-    ),
-    (
-        "time-evolution-matrix",
-        "translation by one site induces the mass-dependent matrix on q, p (symbolic alpha)",
-        _check_time_evolution_matrix,
-    ),
-    (
-        "anti-involution",
-        "site negation induces the anti-involution fixing q and negating p",
-        _check_anti_involution,
-    ),
-    (
-        "fock-action",
-        "the coinvariant module is K[q] with q q^n = q^(n+1) and p q^n = n hbar q^(n-1)",
-        _check_fock_action,
-    ),
-    (
-        "gamma-equivariance",
-        "the ordering morphism to permutations is translation invariant, reversal equivariant and functorial",
-        _check_gamma_equivariance,
-    ),
-    (
-        "local-constancy",
-        "inclusions induce isomorphisms on truncated degree-0 cohomology of the expected dimension",
-        _check_local_constancy,
-    ),
-    (
-        "weyl-iso",
-        "the correspondence q^a p^b <-> star powers is bijective and multiplicative up to total degree 6",
-        _check_weyl_iso,
-    ),
-    (
-        "mass-independence",
-        "star structure constants in the q, p basis contain no alpha and agree at alpha = 1, 2, 3",
-        _check_mass_independence,
-    ),
-    (
-        "confluence",
-        "both rewriting strategies produce identical normal forms, with verified certificates",
-        _check_confluence,
-    ),
-    (
-        "star-associativity",
-        "the star product is unital and associative on basis classes",
-        _check_star_associativity,
-    ),
-]
-
-CHECK_IDS = tuple(check_id for check_id, _, _ in _REGISTRY)
-_BY_ID = {check_id: (statement, fn) for check_id, statement, fn in _REGISTRY}
+CHECK_IDS = tuple(_BY_ID)
 
 
 def run_check(check_id: str, config: CheckConfig) -> CheckResult:

@@ -1,3 +1,4 @@
+import inspect
 import json
 import os
 import subprocess
@@ -26,6 +27,35 @@ def test_registry_has_the_full_suite():
     assert CHECK_IDS[0] == "dsq-zero"
     assert "massless-commutator" in CHECK_IDS
     assert "homotopy-certificate-3.5" in CHECK_IDS
+
+
+def test_every_check_function_is_registered_once_in_definition_order():
+    # a _check_* function defined without its decorator would be missing here
+    defined = sorted(
+        (fn for name, fn in vars(checks).items() if name.startswith("_check_") and inspect.isfunction(fn)),
+        key=lambda fn: fn.__code__.co_firstlineno,
+    )
+    assert [fn for _, fn in checks._BY_ID.values()] == defined
+    assert CHECK_IDS == tuple(checks._BY_ID)
+
+
+def test_statements_survive_python_OO():
+    # statements are decorator arguments, so stripping docstrings keeps them
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+
+    def statement(*flags):
+        proc = subprocess.run(
+            [sys.executable, *flags, "-m", "latticebv.cli", "check", "--id", "kernel-functions", "--format", "json"],
+            env={**os.environ, "PYTHONPATH": path},
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        return json.loads(proc.stdout)[0]["statement"]
+
+    assert statement("-OO") == statement() == checks._BY_ID["kernel-functions"][0]
 
 
 def test_unknown_id_is_an_error():
@@ -197,6 +227,20 @@ def test_cli_rejects_bad_interval(capsys):
 def test_cli_rejects_zero_denominators(argv, capsys):
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith("error: zero denominator")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "--id", "kernel-functions", "--alpha", "0"],
+        ["nf", "delta[0]", "--alpha", "0"],
+        ["star", "delta[0]", "delta[0]", "--alpha", "0"],
+    ],
+)
+def test_cli_rejects_a_non_unit_alpha(argv, capsys):
+    # the check parameters are built with the config, before any check runs
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: 0 is not a unit")
 
 
 def test_cli_on_a_very_wide_interval(capsys):

@@ -145,6 +145,19 @@ def test_rewrite_guard_counts_monomials_before_reducing(monkeypatch):
     assert verify_certificate(normal_form(d(3) ** 3, J44, Window(0), SYMBOLIC), SYMBOLIC)
 
 
+def test_rewrite_guard_does_not_count_the_degree_already_in_the_window():
+    # comb(201 + 3, 3) monomials of degree <= 201, but the one term has one
+    # factor outside the window: 1 * comb(1 + 3, 3) = 4, and one rewrite
+    cert = normal_form(d(0) ** 200 * d(2), J44, Window(0), SYMBOLIC)
+    assert verify_certificate(cert, SYMBOLIC)
+
+
+def test_rewrite_step_checks_its_termination_measure(monkeypatch):
+    monkeypatch.setattr(Window, "distance", lambda self, site: 1)
+    with pytest.raises(AssertionError, match="termination measure failed to decrease"):
+        rewrite_step(Monomial.make({2: 1}), 2, J33, Window(0), MASSLESS)
+
+
 def test_relocation_of_delta0():
     cert = relocate(d(0), J44, Window(2), SYMBOLIC)
     assert cert.normal_form == d(2) * (AP1 * AP1 - Scalar.one()) - d(3) * AP1
