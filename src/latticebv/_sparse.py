@@ -10,7 +10,11 @@ terms into it so that a key whose coefficients cancel disappears
 (:func:`accumulate`), scaling it (:func:`scale`), wrapping a dict that is
 already canonical (:func:`wrap`; a ``Scalar`` also needs its denominator
 and has its own), and rendering a sum of coefficient-times-basis terms in
-the parser's grammar (:func:`render`).
+the parser's grammar (:func:`render`).  :class:`TermMap` is the linear
+structure of the other three, written once (a ``Scalar``'s sum and equality
+go through its denominator).  The benchmark's span tracer replaces entries
+of a class's own ``__dict__``, so a subclass binds each traced method it
+inherits by an alias line such as ``__add__ = TermMap.__add__``.
 
 A stored coefficient is an ``int`` numerator or a ``Scalar``, and a rendered
 one a ``Fraction`` or a ``Scalar``; each is false exactly when it is zero,
@@ -70,6 +74,56 @@ def wrap(cls: type[T], terms: dict) -> T:
     out = cls.__new__(cls)
     out._terms = terms
     return out
+
+
+class TermMap:
+    """A canonical dict ``_terms`` from key to nonzero Scalar coefficient.
+
+    A subclass builds ``_terms`` in ``__init__`` and adds its products, its
+    ``__str__`` and, for powers, a classmethod ``one``.  Sums and equality
+    hold only between maps of the same class.
+    """
+
+    __slots__ = ("_terms",)
+
+    @classmethod
+    def zero(cls: type[T]) -> T:
+        return cls()
+
+    def __add__(self: T, other: T) -> T:
+        if type(other) is not type(self):
+            return NotImplemented
+        return wrap(type(self), accumulate(dict(self._terms), other._terms.items()))
+
+    def __neg__(self: T) -> T:
+        return wrap(type(self), {k: -c for k, c in self._terms.items()})
+
+    def __sub__(self: T, other: T) -> T:
+        return self + (-other)
+
+    def __pow__(self: T, n: int) -> T:
+        if not isinstance(n, int) or n < 0:
+            raise ValueError(f"{type(self).__name__} powers must be non-negative integers")
+        result = type(self).one()
+        for _ in range(n):
+            result = result * self
+        return result
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._terms == other._terms
+
+    @property
+    def is_zero(self) -> bool:
+        return not self._terms
+
+    def terms(self):
+        """The ``(key, coefficient)`` pairs, as a view of the stored dict."""
+        return self._terms.items()
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self})"
 
 
 def power(name: str, exponent: int) -> str:

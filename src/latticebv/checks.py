@@ -318,7 +318,7 @@ def _check_eq1_massless(cfg: CheckConfig):
         f = _random_lattice_function(rng)
         total = Scalar.zero()
         moment = Scalar.zero()
-        for s, v in f.items():
+        for s, v in f.terms():
             total = total + v
             moment = moment + v * s
         if phi(f, _MASSLESS) != WeylElement({(1, 0): total, (0, 1): moment}):

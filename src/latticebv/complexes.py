@@ -94,7 +94,7 @@ def laplace(f: LatticeFunction, params: ModelParams) -> LatticeFunction:
     ap1 = params.alpha_plus_inverse()
     bumps = (
         pair
-        for s, v in f.items()
+        for s, v in f.terms()
         for pair in ((s - 1, v), (s, -(v * ap1)), (s + 1, v))
     )
     return wrap(LatticeFunction, accumulate({}, bumps))
@@ -201,7 +201,7 @@ def phi(f: LatticeFunction, params: ModelParams):
 
     qc = Scalar.zero()
     pc = Scalar.zero()
-    for s, v in f.items():
+    for s, v in f.terms():
         qc = qc + v * kernel_function("A", s, params)
         pc = pc + v * kernel_function("B", s, params)
     return WeylElement({(1, 0): qc, (0, 1): pc})

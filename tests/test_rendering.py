@@ -10,7 +10,8 @@ from fractions import Fraction
 
 import pytest
 
-from latticebv.cochains import Cochain
+from latticebv.cochains import Cochain, LatticeFunction
+from latticebv.parser import parse_cochain
 from latticebv.scalars import ALPHA, HBAR, ONE, ZERO, Scalar
 from latticebv.weyl import WeylElement, fock_action, fock_projection
 
@@ -79,3 +80,11 @@ def test_weyl_and_fock_rendering(name):
 def test_scalar_rendering_orders_terms_and_joins_powers():
     x = HBAR**2 * ALPHA * -2 + Scalar.alpha(-1) - HBAR * Fraction(1, 3)
     assert str(x) == "alpha^-1 - 1/3*hbar - 2*hbar^2*alpha"
+
+
+def test_lattice_function_renders_as_its_field_cochain():
+    f = LatticeFunction({2: ALPHA, -1: 3})
+    assert str(f) == "3*delta[-1] + alpha*delta[2]"
+    assert repr(f) == "LatticeFunction(3*delta[-1] + alpha*delta[2])"
+    assert parse_cochain(str(f)) == f.as_field_cochain()
+    assert str(LatticeFunction.zero()) == "0"
