@@ -172,3 +172,36 @@ def test_cli_rejects_long_products_of_sums(capsys):
     with pytest.raises(ParseError) as err:
         parse_cochain(text)
     assert err.value.position == len(_sum_of_fields(16)) * 3 + 2
+
+
+@pytest.mark.parametrize(
+    "text, position",
+    [("1" + "0" * 5000, 0), ("delta[" + "7" * 5000 + "]", 6), ("2/" + "3" * 5000, 2), ("alpha^-" + "9" * 5000, 7)],
+    ids=["numerator", "site", "denominator", "exponent"],
+)
+def test_numbers_past_the_int_conversion_limit_are_parse_errors(text, position, capsys):
+    with pytest.raises(ParseError) as err:
+        parse_cochain(text)
+    assert err.value.position == position
+    assert main(["parse", text]) == 2
+    assert f"(at position {position})" in capsys.readouterr().err
+
+
+def test_a_sum_of_atom_products_makes_no_cochain_product(monkeypatch):
+    calls = []
+    for name in ("__mul__", "__pow__"):
+        original = getattr(Cochain, name)
+        monkeypatch.setattr(
+            Cochain, name, lambda self, other, _f=original, _n=name: calls.append(_n) or _f(self, other)
+        )
+    got = parse_cochain("3*hbar*alpha^-2*bdelta[1]*delta[0]^2 - 4/5*delta[-1] + -bdelta[2]*2^-1*bdelta[0]")
+    assert calls == []
+    want = {
+        "bdelta[1]*delta[0]^2": Scalar({(1, -2): 3}),
+        "delta[-1]": Scalar.rational(Fraction(-4, 5)),
+        "bdelta[0]*bdelta[2]": Scalar.rational(Fraction(1, 2)),
+    }
+    assert {str(m): c for m, c in got.terms()} == want
+    # the counters see the fallback of a parenthesized factor
+    parse_cochain("(delta[0] + delta[1])^2*(delta[2] - hbar)")
+    assert calls.count("__pow__") == 1 and "__mul__" in calls
