@@ -1,6 +1,6 @@
 """Pinned parser results over seeded strings of the grammar.
 
-``data/parse_digests.json`` holds about 700 strings: hand-picked edge cases
+``data/parse_digests.json`` holds 744 strings: hand-picked edge cases
 (parenthesized sums between odd generators, leading minus chains, powers 0,
 1 and 2, negative powers and their errors, powers and products at the
 ``MAX_POWER_TERMS`` boundary), rendered seeded cochains, and seeded random
