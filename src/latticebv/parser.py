@@ -33,7 +33,7 @@ from .scalars import Scalar
 
 __all__ = ["ParseError", "parse_cochain", "parse_scalar", "MAX_NESTING", "MAX_EXPONENT", "MAX_POWER_TERMS"]
 
-# ASCII only: a token is a number, a name or one other character; _UNKNOWN ones start none
+# ASCII only: a token is a number, a name or one other character; _UNKNOWN, one outside the grammar
 _TOKEN = re.compile(r"[0-9]+|[A-Za-z_][A-Za-z0-9_]*|\S", re.ASCII)
 _UNKNOWN = re.compile(r"[^0-9A-Za-z_\[\]()^*+\-/\s]", re.ASCII)
 
