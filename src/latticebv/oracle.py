@@ -3,10 +3,14 @@
 The span of monomials of total polynomial degree at most N is a subcomplex
 (the classical differential preserves the degree, the odd Laplacian lowers
 it by two), so truncating is sound without any spectral-sequence argument.
-The oracle builds the matrix of the specialized quantum differential on the
-truncated monomial basis of an interval as sparse rows and computes its
-exact rank over the rationals by fraction-free elimination, giving
-cohomology dimensions that are independent of the rewriting engine.
+The oracle writes the matrix of the specialized quantum differential
+d_h = d + hbar*D on the truncated monomial basis of an interval as sparse
+rows over ``Fraction``, read off each basis monomial by a closed formula
+(the Laplacian row at each odd factor plus hbar times each matching field
+exponent, with Koszul signs; see ``_differential_columns``), and computes
+their exact rank by fraction-free elimination.  So the dimensions use
+neither the ``Scalar`` ring, nor ``Cochain`` arithmetic, nor the rewriting
+engine that they check.
 
 This module also hosts a second, independently coded evaluation path for the
 quantum differential (assembled from the public derivative operations rather
@@ -59,9 +63,6 @@ class TruncationSpec:
             raise ValueError("maxdeg must be non-negative")
         if not Fraction(self.aval):
             raise ValueError("alpha must be specialized to a nonzero rational")
-
-    def params(self) -> ModelParams:
-        return ModelParams.at(self.hval, self.aval)
 
 
 def d_quantum_reference(c: Cochain, params: ModelParams) -> Cochain:
@@ -172,14 +173,37 @@ def _differential_columns(
     codomain_index: dict[Monomial, int],
     spec: TruncationSpec,
 ) -> list[dict[int, Fraction]]:
-    """Images of the domain basis under the specialized d_h, as sparse rows."""
-    params = spec.params()
+    """Images of the domain basis under the specialized d_h, as sparse rows.
+
+    For a monomial with antifield word s_0 < ... < s_{k-1} and exponent e_i
+    of delta[s_i], the row is the sum over i of (-1)^i times
+
+    * the Laplacian row at s_i: +1, -(a + 1/a) and +1 at delta[s_i - 1],
+      delta[s_i] and delta[s_i + 1], each times the word without bdelta[s_i];
+    * e_i*h at the monomial with one delta[s_i] lowered and bdelta[s_i]
+      removed, when e_i and h are nonzero.
+
+    This is d + hbar*D because d is the derivation taking bdelta[s] to the
+    Laplacian row at s and D = sum_x d/d bdelta[x] d/d delta[x], and the odd
+    derivative at s_i costs (-1)^i in both.  Distinct (i, site) give distinct
+    monomials and a + 1/a is never 0, so no two entries meet or cancel.
+    """
+    h, a = Fraction(spec.hval), Fraction(spec.aval)
+    laplacian = (Fraction(1), -(a + 1 / a), Fraction(1))
+    # indexed by the parity of the odd factor's position: its Koszul sign
+    signed = (laplacian, tuple(-w for w in laplacian))
     columns: list[dict[int, Fraction]] = []
     for m in domain:
-        image = d_quantum_reference(Cochain({m: 1}), params)
-        columns.append(
-            {codomain_index[mono]: coeff.specialize(spec.hval, spec.aval) for mono, coeff in image.terms()}
-        )
+        row: dict[int, Fraction] = {}
+        word = m.antifields
+        for i, s in enumerate(word):
+            reduced = Monomial(m.fields, word[:i] + word[i + 1 :])
+            for site, weight in zip((s - 1, s, s + 1), signed[i % 2]):
+                row[codomain_index[reduced.raise_field(site)]] = weight
+            e = m.field_exponent(s)
+            if e and h:
+                row[codomain_index[reduced.lower_field(s)]] = (-1) ** i * e * h
+        columns.append(row)
     return columns
 
 

@@ -5,9 +5,10 @@ from fractions import Fraction
 import pytest
 
 from latticebv import oracle
-from latticebv.cochains import Monomial
+from latticebv.cochains import Cochain, Monomial
 from latticebv.complexes import ModelParams, d_quantum
 from latticebv.operad import Interval
+from latticebv.scalars import Scalar
 from latticebv.oracle import (
     BASIS_GUARD,
     BasisTooLargeError,
@@ -56,9 +57,9 @@ def test_inclusion_isomorphisms():
 
 
 def test_inclusion_reuses_the_outer_complex(monkeypatch):
-    # the outer degree -1 differential is built and ranked once, by the oracle
+    # the outer degree -1 rows are built once and ranked once, by the oracle
     calls = Counter()
-    for name in ("truncated_basis", "d_quantum_reference", "matrix_rank"):
+    for name in ("truncated_basis", "_differential_columns", "matrix_rank"):
         original = getattr(oracle, name)
 
         def counted(*args, _name=name, _original=original, **kwargs):
@@ -67,7 +68,7 @@ def test_inclusion_reuses_the_outer_complex(monkeypatch):
 
         monkeypatch.setattr(oracle, name, counted)
     assert h0_inclusion_is_iso(Interval(0, 4), Interval(-1, 4), 3, 1, 2)
-    assert calls == {"truncated_basis": 2, "d_quantum_reference": 45, "matrix_rank": 4}
+    assert calls == {"truncated_basis": 2, "_differential_columns": 3, "matrix_rank": 4}
 
 
 def test_basis_guard():
@@ -189,6 +190,40 @@ def test_reference_differential_agrees_with_main():
         for _ in range(60):
             c = seeded_cochain(rng)
             assert d_quantum_reference(c, params) == d_quantum(c, params)
+
+
+@pytest.mark.parametrize("interval, maxdeg", [((0, 5), 3), ((-3, 4), 4), ((0, F(9, 2)), 2)])
+def test_rows_match_the_reference_differential(interval, maxdeg):
+    # h = 0 drops the D term; negative and fractional alpha exercise the signs
+    interval = Interval(*interval)
+    basis = truncated_basis(interval, maxdeg)
+    for hval, aval in ((F(1), F(1)), (F(1), F(2)), (F(3, 2), F(-1, 3)), (F(0), F(2)), (F(-7, 2), F(5))):
+        spec = TruncationSpec(interval, maxdeg, hval, aval)
+        params = ModelParams.at(hval, aval)
+        for g, monomials in basis.items():
+            index = {m: i for i, m in enumerate(basis.get(g + 1, []))}
+            rows = oracle._differential_columns(monomials, index, spec)
+            for m, row in zip(monomials, rows):
+                image = d_quantum_reference(Cochain({m: 1}), params)
+                expected = {index[mono]: coeff.specialize(hval, aval) for mono, coeff in image.terms()}
+                assert row == expected, (m, hval, aval)
+                assert all(type(v) is F for v in row.values())
+
+
+def test_the_rank_path_uses_no_ring_code(monkeypatch):
+    def forbidden(*_args, **_kwargs):
+        raise AssertionError("the oracle reached the Scalar, Cochain or d_h code it checks")
+
+    for cls, name in (
+        (Scalar, "__init__"), (Scalar, "__mul__"), (Scalar, "__add__"), (Scalar, "specialize"),
+        (Cochain, "__init__"), (ModelParams, "__post_init__"),
+    ):
+        monkeypatch.setattr(cls, name, forbidden)
+    monkeypatch.setattr(oracle, "d_quantum_reference", forbidden)
+    dims = cohomology_oracle(TruncationSpec(Interval(-3, 4), 4, F(1), F(2)))
+    assert dims[0] == 15
+    assert all(dim == 0 for g, dim in dims.items() if g < 0)
+    assert h0_inclusion_is_iso(Interval(-2, 3), Interval(-3, 4), 4, 1, 2)
 
 
 def test_reference_differential_squares_to_zero():
