@@ -8,7 +8,6 @@ from latticebv import oracle
 from latticebv.cochains import Cochain, Monomial
 from latticebv.complexes import ModelParams, d_quantum
 from latticebv.operad import Interval
-from latticebv.scalars import Scalar
 from latticebv.oracle import (
     BASIS_GUARD,
     BasisTooLargeError,
@@ -19,6 +18,7 @@ from latticebv.oracle import (
     matrix_rank,
     truncated_basis,
 )
+from latticebv.scalars import Scalar
 
 from strategies import peak_allocation, seeded_cochain
 
