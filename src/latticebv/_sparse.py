@@ -12,9 +12,11 @@ already canonical (:func:`wrap`; a ``Scalar`` also needs its denominator
 and has its own), and rendering a sum of coefficient-times-basis terms in
 the parser's grammar (:func:`render`).  :class:`TermMap` is the linear
 structure of the other three, written once (a ``Scalar``'s sum and equality
-go through its denominator).  The benchmark's span tracer replaces entries
-of a class's own ``__dict__``, so a subclass binds each traced method it
-inherits by an alias line such as ``__add__ = TermMap.__add__``.
+go through its denominator), and its power loop is the one of every map
+with a product: ``Scalar`` binds ``TermMap.__pow__`` without subclassing.
+The benchmark's span tracer replaces entries of a class's own ``__dict__``,
+so a class binds each traced method it takes from ``TermMap`` by an alias
+line such as ``__add__ = TermMap.__add__``.
 
 A stored coefficient is an ``int`` numerator or a ``Scalar``, and a rendered
 one a ``Fraction`` or a ``Scalar``; each is false exactly when it is zero,

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from random import Random
@@ -67,22 +67,17 @@ __all__ = ["CheckConfig", "CheckResult", "CHECK_IDS", "run_check", "run_suite", 
 
 @dataclass(frozen=True)
 class CheckConfig:
-    """Seed and rational specializations for parameterizable checks.
+    """Seed and model parameters for parameterizable checks.
 
-    ``None`` means the symbolic variable.  Lemma-style checks pin their own
-    parameters (their statements say which); the generic property checks use
-    ``params``, built once here, so a non-unit alpha is a ``ValueError``
-    before any check runs.  ``latticebv check`` defaults to seed 0 with
-    symbolic hbar and alpha.
+    Lemma-style checks pin their own parameters (their statements say
+    which); the generic property checks use ``params``.  The caller builds
+    ``params``, with ``ModelParams.at``, before any check runs, so a
+    non-unit alpha is a ``ValueError`` first.  ``latticebv check`` defaults
+    to seed 0 with symbolic hbar and alpha.
     """
 
     seed: int
-    hbar: Fraction | None
-    alpha: Fraction | None
-    params: ModelParams = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "params", ModelParams.at(self.hbar, self.alpha))
+    params: ModelParams
 
 
 @dataclass

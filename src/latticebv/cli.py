@@ -97,11 +97,8 @@ def main(argv: list[str] | None = None) -> int:
                 for check_id in CHECK_IDS:
                     print(check_id)
                 return 0
-            config = CheckConfig(
-                seed=args.seed,
-                hbar=_fraction_or_none(args.hbar),
-                alpha=_fraction_or_none(args.alpha),
-            )
+            params = ModelParams.at(_fraction_or_none(args.hbar), _fraction_or_none(args.alpha))
+            config = CheckConfig(seed=args.seed, params=params)
             results = run_suite(args.ids, config)
             print(emit_report(results, args.format), end="")
             return suite_exit_code(results)

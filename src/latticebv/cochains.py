@@ -247,8 +247,7 @@ class Cochain(TermMap):
 
         return wrap(Cochain, accumulate({}, products()))
 
-    def __rmul__(self, other: "Scalar | int | Fraction") -> "Cochain":
-        return self * other
+    __rmul__ = __mul__
 
     def __hash__(self) -> int:
         return hash(frozenset(self._terms.items()))
@@ -373,12 +372,6 @@ class LatticeFunction(TermMap):
     __add__ = TermMap.__add__
     # lattice functions have no product, so no powers
     __pow__ = None
-
-    def __mul__(self, factor: Scalar | int | Fraction) -> "LatticeFunction":
-        factor = as_scalar(factor)
-        return wrap(LatticeFunction, scale(self._terms, factor))
-
-    __rmul__ = __mul__
 
     def get(self, site: Site) -> Scalar:
         return self._terms.get(site, Scalar.zero())

@@ -199,8 +199,6 @@ def sum_operation(
 
 def translate(c: Cochain, n: int) -> Cochain:
     """Shift every generator site by +n (an algebra map commuting with d_h)."""
-    if n == 0:
-        return c
     return c.map_sites(lambda s: s + n)
 
 

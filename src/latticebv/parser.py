@@ -18,7 +18,7 @@ input beyond them raises ``ParseError`` before the work is done.
 
 Atoms (primaries but parenthesized ones) multiply out as integers: a product
 of them is one ``Monomial``, signed by ``sort_antifields``, and one ``Scalar``.
-Only a parenthesized factor takes ``Cochain`` powers and products, or a scale.
+Only a parenthesized factor takes ``Cochain`` powers and products.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import re
 from fractions import Fraction
 from math import comb
 
-from ._sparse import accumulate, scale, wrap
+from ._sparse import accumulate, wrap
 from .cochains import Cochain, Monomial, sort_antifields
 from .scalars import Scalar
 
@@ -179,17 +179,13 @@ class _Parser:
 
 
 def _times(value: Cochain | None, num, den, hbar, alpha, fields, anti) -> Cochain:
-    """``value`` (1 when None) times the run, by a scale when ``value`` is a scalar."""
+    """``value`` (1 when None) times the run."""
     sites, sign = sort_antifields(anti)
     if not (num and sign):
         return Cochain()
     mono = Monomial(tuple(sorted(fields.items())), sites)
-    term = {mono: Scalar({(hbar, alpha): Fraction(num * sign, den)})}
-    if value is None or value.max_polynomial_degree() == 0:  # 1, zero or a scalar
-        return wrap(Cochain, term if value is None else scale(term, value.coefficient(Monomial.UNIT)))
-    if mono == Monomial.UNIT:
-        return value if term[mono] == 1 else value * term[mono]
-    return value * wrap(Cochain, term)
+    run = wrap(Cochain, {mono: Scalar({(hbar, alpha): Fraction(num * sign, den)})})
+    return run if value is None else value * run
 
 
 def _term_count(c: Cochain) -> int:

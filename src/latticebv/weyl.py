@@ -224,6 +224,11 @@ class StarAlgebra:
     relocations and star powers of the generators (nothing is shared
     between instances), and converts between classes and normal-ordered
     Weyl elements both ways, up to total degree :data:`MAX_DEGREE`.
+
+    ``WeylElement`` products always use the symbolic hbar, so
+    :meth:`to_weyl` is an algebra map only when ``params.hbar`` is the
+    symbol: at hbar := 2/3, ``to_weyl(star(p, q))`` is ``q*p + 2/3`` while
+    ``to_weyl(p) * to_weyl(q)`` is ``q*p + hbar``.
     """
 
     def __init__(self, params: ModelParams, geometry: str):
@@ -300,7 +305,9 @@ class StarAlgebra:
 
         The canonical form of psi(a, b) is delta[0]^a delta[1]^b plus terms
         of smaller delta[1]-exponent or smaller total degree, with unit
-        leading coefficient, so coefficients peel off from the top.
+        leading coefficient, so coefficients peel off from the top.  The
+        result is read with the symbolic hbar of ``WeylElement`` products,
+        which matches the star product only at a symbolic ``params.hbar``.
         """
         residual = x.canonical_form
         degree = residual.max_polynomial_degree()

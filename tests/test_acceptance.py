@@ -22,7 +22,7 @@ SYMBOLIC = ModelParams.symbolic()
 
 
 def _run(criterion: int, check_id: str, budget_ms: int):
-    result = run_check(check_id, CheckConfig(seed=0, hbar=None, alpha=None))
+    result = run_check(check_id, CheckConfig(seed=0, params=SYMBOLIC))
     print(
         f"criterion {criterion:>2} [{check_id}]: {result.status.upper()} "
         f"({result.elapsed_ms} ms, budget {budget_ms} ms)"

@@ -18,8 +18,9 @@ from latticebv.checks import (
     suite_exit_code,
 )
 from latticebv.cli import main
+from latticebv.complexes import ModelParams
 
-DEFAULTS = CheckConfig(seed=0, hbar=None, alpha=None)
+DEFAULTS = CheckConfig(seed=0, params=ModelParams.symbolic())
 
 
 def test_registry_has_the_full_suite():
@@ -149,7 +150,7 @@ def test_empty_selection():
 
 def test_reports_are_deterministic():
     def snapshot():
-        config = CheckConfig(seed=42, hbar=None, alpha=None)
+        config = CheckConfig(seed=42, params=ModelParams.symbolic())
         results = run_suite(["gamma-equivariance", "q-injective"], config)
         for r in results:
             r.elapsed_ms = 0

@@ -28,6 +28,12 @@ def test_absorbing_zero():
 def test_specialize_examples():
     assert (ALPHA + Scalar.alpha(-1)).specialize(7, 2) == Fraction(5, 2)
     assert HBAR.specialize(1, 5) == 1
+    zero = ZERO.specialize(3, 2)
+    assert zero == 0 and type(zero) is Fraction
+    # at hbar = 0 the hbar^0 terms stay (0**0 is 1)
+    assert Scalar({(0, -2): 3, (1, 1): 5}).specialize(0, 2) == Fraction(3, 4)
+    # negative powers of a negative fractional alpha
+    assert Scalar({(0, -3): 2, (1, -1): Fraction(1, 2)}).specialize(2, Fraction(-2, 3)) == Fraction(-33, 4)
     with pytest.raises(ValueError):
         ALPHA.specialize(1, 0)
 
@@ -88,6 +94,9 @@ def test_specialize_alpha_keeps_hbar():
     x = HBAR * ALPHA + Scalar.alpha(-2)
     assert x.specialize_alpha(2) == HBAR * 2 + Scalar.rational(Fraction(1, 4))
     assert x.specialize_alpha(2).is_alpha_free
+    assert x.specialize_alpha(Fraction(-1, 2)) == HBAR * Fraction(-1, 2) + Scalar.rational(4)
+    with pytest.raises(ValueError):
+        x.specialize_alpha(0)
 
 
 def test_power_and_division():
