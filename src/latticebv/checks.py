@@ -71,9 +71,9 @@ class CheckConfig:
 
     Lemma-style checks pin their own parameters (their statements say
     which); the generic property checks use ``params``.  The caller builds
-    ``params``, with ``ModelParams.at``, before any check runs, so a
-    non-unit alpha is a ``ValueError`` first.  ``latticebv check`` defaults
-    to seed 0 with symbolic hbar and alpha.
+    ``params`` with ``ModelParams.at`` before any check runs, so a non-unit
+    alpha fails there.  ``latticebv check`` defaults to seed 0 with symbolic
+    hbar and alpha.
     """
 
     seed: int
