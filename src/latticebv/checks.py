@@ -445,21 +445,25 @@ def _check_relocation(cfg: CheckConfig):
     }
 
 
+def _translation_result(algebra: StarAlgebra, expected_q: WeylElement, expected_p: WeylElement):
+    """Whether translation by one site and ``time_evolution`` send q and p to the expected images."""
+    for name, cls, generator, expected in (
+        ("q", algebra.q_class, WeylElement.q(), expected_q),
+        ("p", algebra.p_class, WeylElement.p(), expected_p),
+    ):
+        moved = algebra.to_weyl(algebra.translate_class(cls, 1))
+        if moved != expected:
+            return False, {f"{name}_image": str(moved), "expected": str(expected)}
+        if time_evolution(generator, algebra.params) != expected:
+            return False, {"identity": f"automorphism on {name}"}
+    return True, {"q": str(expected_q), "p": str(expected_p)}
+
+
 @_check("time-evolution-massless",
         "translation by one site induces q -> q + p and p -> p at alpha = 1")
 def _check_time_evolution_massless(cfg: CheckConfig):
-    algebra = StarAlgebra(_MASSLESS, "default")
-    moved_q = algebra.to_weyl(algebra.translate_class(algebra.q_class, 1))
-    if moved_q != WeylElement.q() + WeylElement.p():
-        return False, {"q_image": str(moved_q)}
-    moved_p = algebra.to_weyl(algebra.translate_class(algebra.p_class, 1))
-    if moved_p != WeylElement.p():
-        return False, {"p_image": str(moved_p)}
-    if time_evolution(WeylElement.q(), _MASSLESS) != WeylElement.q() + WeylElement.p():
-        return False, {"identity": "automorphism on q"}
-    if time_evolution(WeylElement.p(), _MASSLESS) != WeylElement.p():
-        return False, {"identity": "automorphism on p"}
-    return True, {"q": str(moved_q), "p": str(moved_p)}
+    q, p = WeylElement.q(), WeylElement.p()
+    return _translation_result(StarAlgebra(_MASSLESS, "default"), q + p, p)
 
 
 @_check("time-evolution-matrix",
@@ -473,16 +477,9 @@ def _check_time_evolution_matrix(cfg: CheckConfig):
     ) * Fraction(1, 4)
     expected_q = WeylElement({(1, 0): half_sum, (0, 1): Scalar.one()})
     expected_p = WeylElement({(1, 0): quarter_square, (0, 1): half_sum})
-    moved_q = algebra.to_weyl(algebra.translate_class(algebra.q_class, 1))
-    moved_p = algebra.to_weyl(algebra.translate_class(algebra.p_class, 1))
-    if moved_q != expected_q:
-        return False, {"q_image": str(moved_q), "expected": str(expected_q)}
-    if moved_p != expected_p:
-        return False, {"p_image": str(moved_p), "expected": str(expected_p)}
-    if time_evolution(WeylElement.q(), params) != expected_q:
-        return False, {"identity": "automorphism on q"}
-    if time_evolution(WeylElement.p(), params) != expected_p:
-        return False, {"identity": "automorphism on p"}
+    passed, witness = _translation_result(algebra, expected_q, expected_p)
+    if not passed:
+        return False, witness
     # the matrix has determinant 1, so the commutator is preserved
     comm = expected_p * expected_q - expected_q * expected_p
     if comm != WeylElement({(0, 0): Scalar.hbar()}):
@@ -492,11 +489,7 @@ def _check_time_evolution_matrix(cfg: CheckConfig):
         rhs = time_evolution(WeylElement({(a, b): 1}), params)
         if lhs != rhs:
             return False, {"basis": f"q^{a} p^{b}", "lhs": str(lhs), "rhs": str(rhs)}
-    return True, {
-        "q": str(moved_q),
-        "p": str(moved_p),
-        "agreement_degree": 4,
-    }
+    return True, {**witness, "agreement_degree": 4}
 
 
 @_check("anti-involution", "site negation induces the anti-involution fixing q and negating p")
@@ -659,20 +652,10 @@ def _check_local_constancy(cfg: CheckConfig):
                         "dim": dim,
                         "expected": expected_dim,
                     }
+            entry = {"inclusion": f"{inner} into {outer}", "maxdeg": maxdeg, "alpha": str(aval)}
             if not h0_inclusion_is_iso(inner, outer, maxdeg, hval, aval):
-                return False, {
-                    "inclusion": f"{inner} into {outer}",
-                    "maxdeg": maxdeg,
-                    "alpha": str(aval),
-                }
-            entries.append(
-                {
-                    "inclusion": f"{inner} into {outer}",
-                    "maxdeg": maxdeg,
-                    "alpha": str(aval),
-                    "h0_dim": expected_dim,
-                }
-            )
+                return False, entry
+            entries.append({**entry, "h0_dim": expected_dim})
     return True, {"pairs": entries}
 
 
@@ -793,15 +776,12 @@ def _check_star_associativity(cfg: CheckConfig):
                 "y": str(y),
                 "z": str(z),
             }
-    for x, y, z in _random_triples(rng, _qp_basis(6), 8, 200):
-        cx, cy, cz = (algebra.psi(*t) for t in (x, y, z))
-        if algebra.star(algebra.star(cx, cy), cz) != algebra.star(cx, algebra.star(cy, cz)):
-            return False, {"triple": f"{x}, {y}, {z}"}
     sym = StarAlgebra(_SYMBOLIC, "default")
-    for x, y, z in _random_triples(rng, basis, 4, 20):
-        cx, cy, cz = (sym.psi(*t) for t in (x, y, z))
-        if sym.star(sym.star(cx, cy), cz) != sym.star(cx, sym.star(cy, cz)):
-            return False, {"triple": f"{x}, {y}, {z}", "alpha": "symbolic"}
+    for alg, pool, max_total, count in ((algebra, _qp_basis(6), 8, 200), (sym, basis, 4, 20)):
+        for x, y, z in _random_triples(rng, pool, max_total, count):
+            cx, cy, cz = (alg.psi(*t) for t in (x, y, z))
+            if alg.star(alg.star(cx, cy), cz) != alg.star(cx, alg.star(cy, cz)):
+                return False, {"triple": f"{x}, {y}, {z}", "alpha": str(alg.params.alpha)}
     return True, {"exhaustive_triples": len(classes) ** 3, "random_triples": 200, "symbolic_triples": 20}
 
 

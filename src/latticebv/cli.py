@@ -33,11 +33,10 @@ def _fraction(text: str) -> Fraction:
         raise ValueError(f"zero denominator in {text!r}") from None
 
 
-def _fraction_or_none(text: str) -> Fraction | None:
-    """'sym' means the symbolic variable; anything else is a rational p/q."""
-    if text == "sym":
-        return None
-    return _fraction(text)
+def _params(args: argparse.Namespace) -> ModelParams:
+    """The model at --hbar and --alpha: 'sym' keeps the symbolic variable, else a rational p/q."""
+    hbar, alpha = (None if text == "sym" else _fraction(text) for text in (args.hbar, args.alpha))
+    return ModelParams.at(hbar, alpha)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -46,8 +45,11 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Exact lattice field observables: reductions, star products, cohomology.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    model = argparse.ArgumentParser(add_help=False)
+    model.add_argument("--alpha", default="sym", help="rational p/q or 'sym' (default)")
+    model.add_argument("--hbar", default="sym", help="rational p/q or 'sym' (default)")
 
-    check = sub.add_parser("check", help="run verification checks")
+    check = sub.add_parser("check", parents=[model], help="run verification checks")
     group = check.add_mutually_exclusive_group()
     group.add_argument("--all", action="store_true", help="run the full suite (default)")
     group.add_argument(
@@ -58,24 +60,18 @@ def _build_parser() -> argparse.ArgumentParser:
         help="run one named check (repeatable); see --list",
     )
     check.add_argument("--list", action="store_true", help="list known check ids and exit")
-    check.add_argument("--alpha", default="sym", help="rational p/q or 'sym' (default)")
-    check.add_argument("--hbar", default="sym", help="rational p/q or 'sym' (default)")
     check.add_argument("--seed", type=int, default=0)
     check.add_argument("--format", choices=("json", "text"), default="text")
 
-    nf = sub.add_parser("nf", help="window normal form with homotopy certificate")
+    nf = sub.add_parser("nf", parents=[model], help="window normal form with homotopy certificate")
     nf.add_argument("expr")
     nf.add_argument("--interval", default="-4,4", help="ambient interval a,b")
     nf.add_argument("--window", type=int, default=0, help="window base w (sites {w, w+1})")
-    nf.add_argument("--alpha", default="sym")
-    nf.add_argument("--hbar", default="sym")
 
-    star = sub.add_parser("star", help="star product of two degree-0 expressions")
+    star = sub.add_parser("star", parents=[model], help="star product of two degree-0 expressions")
     star.add_argument("left")
     star.add_argument("right")
     star.add_argument("--geometry", choices=sorted(GEOMETRIES), default="default")
-    star.add_argument("--alpha", default="sym")
-    star.add_argument("--hbar", default="sym")
 
     cohomology = sub.add_parser("cohomology", help="truncated cohomology dimensions")
     cohomology.add_argument("--interval", required=True, help="interval a,b")
@@ -97,14 +93,13 @@ def main(argv: list[str] | None = None) -> int:
                 for check_id in CHECK_IDS:
                     print(check_id)
                 return 0
-            params = ModelParams.at(_fraction_or_none(args.hbar), _fraction_or_none(args.alpha))
-            config = CheckConfig(seed=args.seed, params=params)
+            config = CheckConfig(seed=args.seed, params=_params(args))
             results = run_suite(args.ids, config)
             print(emit_report(results, args.format), end="")
             return suite_exit_code(results)
 
         if args.command == "nf":
-            params = ModelParams.at(_fraction_or_none(args.hbar), _fraction_or_none(args.alpha))
+            params = _params(args)
             cert = normal_form(
                 parse_cochain(args.expr),
                 Interval.parse(args.interval),
@@ -117,8 +112,7 @@ def main(argv: list[str] | None = None) -> int:
             return 0 if payload["verified"] else 1
 
         if args.command == "star":
-            params = ModelParams.at(_fraction_or_none(args.hbar), _fraction_or_none(args.alpha))
-            algebra = StarAlgebra(params, args.geometry)
+            algebra = StarAlgebra(_params(args), args.geometry)
             x = algebra.class_of(parse_cochain(args.left))
             y = algebra.class_of(parse_cochain(args.right))
             print(str(algebra.star(x, y).canonical_form))

@@ -219,12 +219,7 @@ class Cochain(TermMap):
         repeated antifield site gives the zero cochain.
         """
         anti, sign = sort_antifields(antifields)
-        if sign == 0:
-            return cls.zero()
-        coeff = as_scalar(coefficient)
-        if sign < 0:
-            coeff = -coeff
-        return cls({Monomial.make(fields, anti): coeff})
+        return cls({Monomial.make(fields, anti): as_scalar(coefficient) * sign})
 
     # -- linear structure ---------------------------------------------------
 

@@ -89,15 +89,14 @@ class ModelParams:
 def laplace(f: LatticeFunction, params: ModelParams) -> LatticeFunction:
     """The discrete Laplacian (Q f)(x) = f(x-1) - (alpha+alpha^-1) f(x) + f(x+1).
 
+    It is d on the linear antifields: d(sum f(x) bdelta[x]) = sum (Q f)(x) delta[x].
     The support grows by at most one site on each side.
+
+    >>> print(laplace(LatticeFunction.delta(0), ModelParams.massless()))
+    delta[-1] - 2*delta[0] + delta[1]
     """
-    ap1 = params.alpha_plus_inverse()
-    bumps = (
-        pair
-        for s, v in f.terms()
-        for pair in ((s - 1, v), (s, -(v * ap1)), (s + 1, v))
-    )
-    return wrap(LatticeFunction, accumulate({}, bumps))
+    image = differential(f.as_antifield_cochain(), params)
+    return wrap(LatticeFunction, {m.fields[0][0]: c for m, c in image.terms()})
 
 
 def differential(c: Cochain, params: ModelParams) -> Cochain:
@@ -180,8 +179,6 @@ def kernel_function(kind: str, x: Site, params: ModelParams) -> Scalar:
     if kind == "A":
         return (params.alpha_power(x) + params.alpha_power(-x)) * Fraction(1, 2)
     if kind == "B":
-        if x == 0:
-            return Scalar.zero()
         n = abs(x)
         total = Scalar.zero()
         for j in range(n):

@@ -209,25 +209,26 @@ def _differential_columns(
 
 def _truncated_complex(
     spec: TruncationSpec,
-) -> tuple[dict[int, list[Monomial]], dict[int, list[dict[int, Fraction]]], dict[int, int]]:
-    """The truncated complex: basis, sparse coordinate columns of d_h and their ranks.
+) -> tuple[dict[int, dict[Monomial, int]], dict[int, list[dict[int, Fraction]]], dict[int, int]]:
+    """The truncated complex: column indices, sparse coordinate columns of d_h and their ranks.
 
-    ``columns[g]`` and ``ranks[g]`` describe d_h from degree g to g + 1 and
-    are present only where both degrees have a basis.
+    ``index[g]`` is the one column numbering of the degree-g basis.  ``columns[g]``
+    and ``ranks[g]`` describe d_h from degree g to g + 1 and are present only
+    where both degrees have a basis.
     """
     basis = truncated_basis(spec.interval, spec.maxdeg)
+    index = {g: {m: i for i, m in enumerate(monomials)} for g, monomials in basis.items()}
     columns: dict[int, list[dict[int, Fraction]]] = {}
     ranks: dict[int, int] = {}
     for g, monomials in basis.items():
         if g + 1 in basis:
-            index = {m: i for i, m in enumerate(basis[g + 1])}
-            columns[g] = _differential_columns(monomials, index, spec)
+            columns[g] = _differential_columns(monomials, index[g + 1], spec)
             ranks[g] = matrix_rank(columns[g])
-    return basis, columns, ranks
+    return index, columns, ranks
 
 
-def _dimensions(basis: dict[int, list[Monomial]], ranks: dict[int, int]) -> dict[int, int]:
-    return {g: len(basis[g]) - ranks.get(g, 0) - ranks.get(g - 1, 0) for g in sorted(basis)}
+def _dimensions(index: dict[int, dict[Monomial, int]], ranks: dict[int, int]) -> dict[int, int]:
+    return {g: len(index[g]) - ranks.get(g, 0) - ranks.get(g - 1, 0) for g in sorted(index)}
 
 
 def cohomology_oracle(spec: TruncationSpec) -> dict[int, int]:
@@ -236,8 +237,8 @@ def cohomology_oracle(spec: TruncationSpec) -> dict[int, int]:
     Builds the specialized quantum differential on the monomial basis and
     computes exact ranks over the rationals.
     """
-    basis, _, ranks = _truncated_complex(spec)
-    return _dimensions(basis, ranks)
+    index, _, ranks = _truncated_complex(spec)
+    return _dimensions(index, ranks)
 
 
 def h0_dimension(spec: TruncationSpec) -> int:
@@ -258,16 +259,15 @@ def h0_inclusion_is_iso(
     full rank; ranks are computed exactly over the rationals.
     """
     hval, aval = Fraction(hval), Fraction(aval)
-    inner_basis, _, inner_ranks = _truncated_complex(TruncationSpec(inner, maxdeg, hval, aval))
-    outer_basis, outer_columns, outer_ranks = _truncated_complex(
+    inner_index, _, inner_ranks = _truncated_complex(TruncationSpec(inner, maxdeg, hval, aval))
+    outer_index, outer_columns, outer_ranks = _truncated_complex(
         TruncationSpec(outer, maxdeg, hval, aval)
     )
-    dim_inner = _dimensions(inner_basis, inner_ranks)[0]
-    if dim_inner != _dimensions(outer_basis, outer_ranks)[0]:
+    dim_inner = _dimensions(inner_index, inner_ranks)[0]
+    if dim_inner != _dimensions(outer_index, outer_ranks)[0]:
         return False
 
-    outer_zero_index = {m: i for i, m in enumerate(outer_basis[0])}
-    inclusion_columns = [{outer_zero_index[m]: 1} for m in inner_basis[0]]
+    inclusion_columns = [{outer_index[0][m]: 1} for m in inner_index[0]]
 
     image_columns = outer_columns.get(-1, [])
     combined = matrix_rank(image_columns + inclusion_columns)

@@ -86,10 +86,6 @@ class Scalar:
         if not isinstance(other, Scalar):
             other = as_scalar(other)
         a, b = self._terms, other._terms
-        if not b:
-            return self
-        if not a:
-            return other
         d1, d2 = self._den, other._den
         if d1 == d2:
             return _reduced(accumulate(dict(a), b.items()), d1)
@@ -112,10 +108,10 @@ class Scalar:
 
     def __mul__(self, other: "Scalar | RationalLike") -> "Scalar":
         if not isinstance(other, Scalar):
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
             other = as_scalar(other)
         a, b = self._terms, other._terms
-        if not a or not b:
-            return ZERO
         if len(a) == 1:
             a, b = b, a
         if len(b) == 1:

@@ -26,6 +26,7 @@ def test_odd_generators_anticommute():
 
 def test_odd_square_is_zero():
     assert (bd(0) * bd(0)).is_zero
+    assert Cochain.monomial(antifields=(1, 1)).is_zero
 
 
 def test_bilinearity_on_even_part():

@@ -5,7 +5,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 
+from latticebv.cochains import Cochain
 from latticebv.scalars import ALPHA, HBAR, ONE, ZERO, Scalar, as_scalar, mass_squared
+from latticebv.weyl import WeylElement
 
 from strategies import scalars
 
@@ -111,6 +113,11 @@ def test_coercion():
     assert as_scalar(Fraction(1, 2)) * 2 == ONE
     with pytest.raises(TypeError):
         as_scalar("alpha")
+    # a foreign operand gets its reflected product
+    assert HBAR * Cochain.field(0) == Cochain.field(0) * HBAR
+    assert HBAR * WeylElement.q() == WeylElement.q() * HBAR
+    with pytest.raises(TypeError):
+        HBAR * "x"
 
 
 def test_rendering_is_deterministic():
@@ -232,8 +239,14 @@ def test_canonical_form_is_unique():
         assert hash(x) == hash(half[0])
         assert x.key() == half[0].key()
         assert x.terms() == [((0, 0), Fraction(1, 2))]
+    # a zero operand takes the general sum and product
+    x = HBAR * Fraction(1, 2) - ALPHA * Fraction(1, 3) + Scalar.alpha(-1) * Fraction(5, 6)
+    assert x._den == 6 and len(x) == 3
+    for same in (x + ZERO, ZERO + x):
+        _assert_canonical(same)
+        assert same == x and hash(same) == hash(x)
     for zero in (ZERO, Scalar(), Scalar({(1, 1): 0}), HBAR - HBAR, ONE * 0, Scalar.rational(0),
-                 (HBAR * Fraction(1, 3)).specialize_alpha(5) * 0):
+                 (HBAR * Fraction(1, 3)).specialize_alpha(5) * 0, ZERO * x):
         _assert_canonical(zero)
         assert zero._terms == {} and zero._den == 1
         assert zero == ZERO and hash(zero) == hash(ZERO) and zero.key() == ZERO.key()
