@@ -10,10 +10,10 @@ terms into it so that a key whose coefficients cancel disappears
 (:func:`accumulate`), scaling it (:func:`scale`), wrapping a dict that is
 already canonical (:func:`wrap`; a ``Scalar`` also needs its denominator
 and has its own), and rendering a sum of coefficient-times-basis terms in
-the parser's grammar (:func:`render`).  :class:`TermMap` is the linear
-structure of the other three, written once (a ``Scalar``'s sum and equality
-go through its denominator), and its power loop is the one of every map
-with a product: ``Scalar`` binds ``TermMap.__pow__`` without subclassing.
+the parser's grammar (:func:`render`).  All four subclass :class:`TermMap`,
+which holds the zero test, the repr and the power loop once; the other
+three also take its sums and equality, which a ``Scalar`` overrides because
+they go through its denominator.
 The benchmark's span tracer replaces entries of a class's own ``__dict__``,
 so a class binds each traced method it takes from ``TermMap`` by an alias
 line such as ``__add__ = TermMap.__add__``.
@@ -79,11 +79,11 @@ def wrap(cls: type[T], terms: dict) -> T:
 
 
 class TermMap:
-    """A canonical dict ``_terms`` from key to nonzero Scalar coefficient.
+    """A canonical dict ``_terms`` from key to nonzero coefficient.
 
     A subclass builds ``_terms`` in ``__init__`` and adds its products, its
     ``__str__`` and, for powers, a classmethod ``one``.  Sums and equality
-    hold only between maps of the same class.
+    hold only between maps of the same class, or a Scalar and a rational.
     """
 
     __slots__ = ("_terms",)

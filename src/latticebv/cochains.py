@@ -104,10 +104,6 @@ class Monomial:
     def polynomial_degree(self) -> int:
         return sum(e for _, e in self.fields) + len(self.antifields)
 
-    @property
-    def is_even(self) -> bool:
-        return not self.antifields
-
     def field_exponent(self, site: Site) -> int:
         for s, e in self.fields:
             if s == site:
@@ -252,7 +248,7 @@ class Cochain(TermMap):
     @property
     def is_even_degree_zero(self) -> bool:
         """True if no monomial carries an odd factor."""
-        return all(m.is_even for m in self._terms)
+        return not any(m.antifields for m in self._terms)
 
     def coefficient(self, m: Monomial) -> Scalar:
         return self._terms.get(m, Scalar.zero())
@@ -281,11 +277,9 @@ class Cochain(TermMap):
     def support(self) -> set[Site]:
         return self.field_support() | self.antifield_support()
 
-    def key(self) -> tuple:
+    def key(self) -> frozenset:
         """Canonical hashable key for caching."""
-        return tuple(
-            sorted(((m.antifields, m.fields), c.key()) for m, c in self._terms.items())
-        )
+        return frozenset(self._terms.items())
 
     # -- derivations ---------------------------------------------------------
 

@@ -128,11 +128,8 @@ def odd_laplacian(c: Cochain) -> Cochain:
 
     def images():
         for m, coeff in c.terms():
-            if not m.antifields or not m.fields:
-                continue
-            exponents = dict(m.fields)
             for i, s in enumerate(m.antifields):
-                e = exponents.get(s, 0)
+                e = m.field_exponent(s)
                 if e:
                     rest = m.antifields[:i] + m.antifields[i + 1 :]
                     term = coeff * e

@@ -24,12 +24,11 @@ Only a parenthesized factor takes ``Cochain`` powers and products.
 from __future__ import annotations
 
 import re
-from fractions import Fraction
 from math import comb
 
 from ._sparse import accumulate, wrap
 from .cochains import Cochain, Monomial, sort_antifields
-from .scalars import Scalar
+from .scalars import Scalar, _reduced
 
 __all__ = ["ParseError", "parse_cochain", "parse_scalar", "MAX_NESTING", "MAX_EXPONENT", "MAX_POWER_TERMS"]
 
@@ -184,7 +183,7 @@ def _times(value: Cochain | None, num, den, hbar, alpha, fields, anti) -> Cochai
     if not (num and sign):
         return Cochain()
     mono = Monomial(tuple(sorted(fields.items())), sites)
-    run = wrap(Cochain, {mono: Scalar({(hbar, alpha): Fraction(num * sign, den)})})
+    run = wrap(Cochain, {mono: _reduced({(hbar, alpha): num * sign}, den)})
     return run if value is None else value * run
 
 

@@ -10,10 +10,10 @@ vanishes.
 A scalar is stored as integer numerators over one shared positive
 denominator, kept canonical: no zero numerator is stored, the denominator
 and the numerators have no common factor, and zero is the empty map over 1.
-Structural equality is therefore ring equality.  Sums and products are
-exact integer arithmetic on the numerators; powers are repeated products
-(the one loop of ``_sparse.TermMap``), and specialization evaluates each
-term over ``Fraction``.  No floating point is used anywhere.
+Structural equality is therefore ring equality.  As a ``_sparse.TermMap``
+it takes the zero test, the repr and the power loop from there; its sums
+and products are exact integer arithmetic on the numerators, and
+specialization evaluates each term over ``Fraction``.  No floating point.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ RationalLike = Union[int, Fraction]
 __all__ = ["Scalar", "ZERO", "ONE", "HBAR", "ALPHA", "as_scalar", "mass_squared"]
 
 
-class Scalar:
+class Scalar(TermMap):
     """Element of Q[hbar][alpha, alpha^-1] as a sparse term map.
 
     Terms are keyed by ``(hbar_power, alpha_power)`` with ``hbar_power >= 0``
@@ -41,7 +41,7 @@ class Scalar:
     4
     """
 
-    __slots__ = ("_terms", "_den")
+    __slots__ = ("_den",)
 
     def __init__(self, terms: Mapping[tuple[int, int], RationalLike] | None = None):
         rationals = canonical(terms, Fraction, _checked_key)
@@ -66,9 +66,7 @@ class Scalar:
 
     @classmethod
     def rational(cls, value: RationalLike) -> "Scalar":
-        if isinstance(value, int):
-            return _scalar({(0, 0): value}, 1) if value else ZERO
-        if not isinstance(value, Fraction):
+        if not isinstance(value, (int, Fraction)):
             value = Fraction(value)
         return _scalar({(0, 0): value.numerator}, value.denominator) if value else ZERO
 
@@ -165,10 +163,6 @@ class Scalar:
 
     # -- queries -----------------------------------------------------------
 
-    @property
-    def is_zero(self) -> bool:
-        return not self._terms
-
     def __bool__(self) -> bool:
         return bool(self._terms)
 
@@ -184,10 +178,6 @@ class Scalar:
         """The ``(key, rational coefficient)`` pairs."""
         den = self._den
         return [(key, Fraction(c, den)) for key, c in self._terms.items()]
-
-    def key(self) -> tuple:
-        """Canonical hashable key (used for caching downstream)."""
-        return (tuple(sorted(self._terms.items())), self._den)
 
     # -- specialization ----------------------------------------------------
 
@@ -213,9 +203,6 @@ class Scalar:
 
     def __str__(self) -> str:
         return render(sorted(self.terms()), hbar_alpha)
-
-    def __repr__(self) -> str:
-        return f"Scalar({self})"
 
 
 def _scalar(terms: dict, den: int) -> Scalar:

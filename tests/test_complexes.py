@@ -75,6 +75,7 @@ def test_odd_laplacian_examples():
     assert odd_laplacian(bd(0) * d(0)) == Cochain.one()
     assert odd_laplacian(d(0)).is_zero
     assert odd_laplacian(bd(1) * d(0)).is_zero
+    assert odd_laplacian(bd(0) * bd(1)).is_zero  # odd factors and no fields
 
 
 def test_d_quantum_paper_vectors():

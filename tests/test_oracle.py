@@ -180,6 +180,13 @@ def test_maxdeg_four_dimensions():
     assert min(dims) == -4
 
 
+def test_maxdeg_five_dimensions():
+    dims = cohomology_oracle(TruncationSpec(Interval(-4, 4), 5, F(1), F(2)))
+    assert dims[0] == 21
+    assert all(dim == 0 for g, dim in dims.items() if g < 0)
+    assert min(dims) == -5
+
+
 def test_maxdeg_four_inclusion():
     assert h0_inclusion_is_iso(Interval(-2, 3), Interval(-3, 4), 4, 1, 2)
 
