@@ -31,7 +31,8 @@ def test_odd_square_is_zero():
 
 def test_bilinearity_on_even_part():
     assert (d(0) + d(1)) * d(0) == d(0) * d(0) + d(0) * d(1)
-    x, y = (d(0) + d(1)) * d(0) * (HBAR / 2), d(0) * d(0) * (HBAR / 2) + d(1) * d(0) * (HBAR / 2)
+    h = HBAR * Fraction(1, 2)
+    x, y = (d(0) + d(1)) * d(0) * h, d(0) * d(0) * h + d(1) * d(0) * h
     assert x == y
     # equal cochains built apart have one canonical, hashable key
     assert x.key() == y.key() and hash(x.key()) == hash(y.key())
