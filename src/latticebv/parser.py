@@ -202,9 +202,18 @@ def parse_cochain(text: str) -> Cochain:
 
 
 def parse_scalar(text: str) -> Scalar:
-    """Parse an expression that must denote a pure scalar."""
+    """Parse an expression that must denote a pure scalar.
+
+    A generator term left in the sum is reported where the first term that
+    gives it starts.
+    """
     c = parse_cochain(text)
-    for m, _ in c.terms():
-        if m != Monomial.UNIT:
-            raise ParseError(f"expected a scalar, found generator term {m}", 0)
+    if c.max_polynomial_degree():
+        parser = _Parser(text)
+        while True:
+            start = parser.pos
+            for m, _ in parser.term(False):
+                if m != Monomial.UNIT and c.coefficient(m):
+                    raise parser.error(f"expected a scalar, found generator term {m}", start)
+            parser.pos += 1  # past the '+' or '-' before the next term
     return c.coefficient(Monomial.UNIT)

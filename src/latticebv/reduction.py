@@ -32,8 +32,15 @@ normal forms from both is the confluence check run by the harness.
 
 Each rewrite strictly decreases the multiset of window-distances of the
 field-site occurrences of the rewritten monomial (compared as descending
-tuples); every step checks that the sites it adds lie closer to the window
-than the site it clears, which is the same test.
+tuples): y and 2y-s must lie closer to the window than s.  That test and
+the legality of y and 2y-s depend only on s, so this site rule runs once
+per cleared site; :func:`rewrite_step` states the rule for one monomial.
+
+The engine holds each coefficient as integer numerators, keyed by (hbar
+power, alpha power), over a positive denominator, and builds each ``Scalar``
+once, at the end.  A rewrite multiplies by alpha+alpha^-1, -1, -e*hbar or 1,
+and the two nontrivial factors sit over one common denominator q, so the
+numerators stay integers at rational points too.
 """
 
 from __future__ import annotations
@@ -41,11 +48,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-from ._sparse import accumulate, wrap
+from ._sparse import accumulate, scale, wrap
 from .cochains import Cochain, Monomial, Site, support_within
 from .complexes import ModelParams, d_quantum
 from .operad import Interval
-from .scalars import Scalar
+from .scalars import Scalar, _over, _product, _reduced
 
 __all__ = [
     "Window",
@@ -126,23 +133,13 @@ def verify_certificate(cert: HomotopyCertificate, params: ModelParams) -> bool:
     return residue.is_zero
 
 
-def rewrite_step(
-    m: Monomial,
-    site: Site,
-    interval: Interval,
-    window: Window,
-    params: ModelParams,
-) -> tuple[Cochain, Cochain]:
-    """Rewrite one delta[site] factor of ``m`` toward the window.
+def _site_rule(site: Site, interval: Interval, window: Window) -> tuple[Site, Site]:
+    """The neighbour y and the mirror site 2y - site of a rewrite at ``site``.
 
-    Returns ``(replacement, homotopy_term)`` with the exact identity
-    ``m = replacement + d_h(homotopy_term)``.  The monomial must be purely
-    even and carry the site; the site must lie outside the window.
+    Raises unless the rewrite is legal in ``interval``: the site lies outside
+    the window, y is an antifield site, y and the mirror are field sites, and
+    both lie closer to the window than the site (the termination measure).
     """
-    if m.antifields:
-        raise ValueError("rewriting applies to purely even monomials only")
-    if not m.field_exponent(site):
-        raise ValueError(f"monomial {m} does not contain delta[{site}]")
     if site > window.base + 1:
         y = site - 1
     elif site < window.base:
@@ -159,24 +156,83 @@ def rewrite_step(
         raise IrreducibleSiteError(
             f"rewrite of site {site} leaves the field sites of {interval}"
         )
+    # a rewrite trades one occurrence at site for one at y or at mirror, or
+    # drops two occurrences, so the measure falls iff y and mirror lie closer
+    d = window.distance(site)
+    if not (window.distance(y) < d and window.distance(mirror) < d):
+        raise AssertionError(f"termination measure failed to decrease rewriting at site {site}")
+    return y, mirror
 
+
+def rewrite_step(
+    m: Monomial,
+    site: Site,
+    interval: Interval,
+    window: Window,
+    params: ModelParams,
+) -> tuple[Cochain, Cochain]:
+    """Rewrite one delta[site] factor of ``m`` toward the window.
+
+    Returns ``(replacement, homotopy_term)`` with the exact identity
+    ``m = replacement + d_h(homotopy_term)``.  The monomial must be purely
+    even and carry the site; the site must lie outside the window.  This is
+    the rule the engine applies to each monomial, stated for one monomial.
+    """
+    if m.antifields:
+        raise ValueError("rewriting applies to purely even monomials only")
+    if not m.field_exponent(site):
+        raise ValueError(f"monomial {m} does not contain delta[{site}]")
+    y, mirror = _site_rule(site, interval, window)
     rest = m.lower_field(site)
     one, e = Scalar.one(), rest.field_exponent(y)
     # the terms carry delta[y] to the powers e+1, e and e-1, so no two merge
     terms = {rest.raise_field(y): params.alpha_plus_inverse(), rest.raise_field(mirror): -one}
     if e and params.hbar:
         terms[rest.lower_field(y)] = params.hbar * -e
-    replacement = wrap(Cochain, terms)
-    homotopy_term = wrap(Cochain, {Monomial(rest.fields, (y,)): one})
+    return wrap(Cochain, terms), wrap(Cochain, {Monomial(rest.fields, (y,)): one})
 
-    # the products trade one occurrence at site for one at y or at mirror, or
-    # drop two occurrences, so the measure falls iff y and mirror lie closer
-    d = window.distance(site)
-    if not (window.distance(y) < d and window.distance(mirror) < d):
-        raise AssertionError(
-            f"termination measure failed to decrease rewriting {m} at {site}"
-        )
-    return replacement, homotopy_term
+
+def _add(acc: dict, m: Monomial, den: int, nums: dict) -> None:
+    """Add ``nums / den`` times ``m`` into ``acc``, a map to ``(den, nums)`` pairs that owns its dicts.
+
+    Of two denominators met here one divides the other (see ``_reduce_to_window``).
+    """
+    held = acc.get(m)
+    if held is None:
+        acc[m] = (den, nums)
+        return
+    held_den, held_nums = held
+    if held_den < den:
+        held_nums = scale(held_nums, den // held_den)
+        acc[m] = (den, held_nums)
+    elif den < held_den:
+        nums = scale(nums, held_den // den)
+    if not accumulate(held_nums, nums.items()):
+        del acc[m]
+
+
+def _rewrite(
+    m: Monomial, site: Site, y: Site, mirror: Site, coeff: tuple, factors: tuple, work: dict, homotopy: dict
+) -> None:
+    """:func:`rewrite_step` of ``coeff * m`` on numerators, added into ``work`` and ``homotopy``.
+
+    ``coeff`` is a ``(den, nums)`` pair that the caller hands over;
+    ``factors`` holds the numerators of alpha+alpha^-1 and of hbar over
+    their common denominator q, and q.
+    """
+    (den, nums), (ap1, hbar, q) = coeff, factors
+    rest = m.lower_field(site)
+    _add(work, rest.raise_field(y), den * q, _product(nums, ap1))
+    _add(work, rest.raise_field(mirror), den, {k: -c for k, c in nums.items()})
+    e = rest.field_exponent(y)
+    if e and hbar:
+        _add(work, rest.lower_field(y), den * q, _product(nums, scale(hbar, -e)))
+    _add(homotopy, Monomial(rest.fields, (y,)), den, nums)
+
+
+def _cochain(acc: dict) -> Cochain:
+    """The cochain of a map from monomials to ``(den, nums)`` pairs."""
+    return wrap(Cochain, {m: _reduced(nums, den) for m, (den, nums) in acc.items()})
 
 
 def _reduce_to_window(
@@ -196,29 +252,32 @@ def _reduce_to_window(
     if not all(s in field_sites for s in window.sites):
         raise ValueError(f"window {window} is not made of field sites of {interval}")
 
-    work: dict[Monomial, Scalar] = dict(c.terms())
     reach = max((window.distance(s) for s in c.field_support()), default=0)
     if reach:
         n = reach + 2
-        outside = max(sum(e for s, e in m.fields if window.distance(s)) for m in work)
-        count = min(comb(c.max_polynomial_degree() + n, n), len(work) * comb(outside + n, n))
+        outside = max(sum(e for s, e in m.fields if window.distance(s)) for m, _ in c.terms())
+        count = min(comb(c.max_polynomial_degree() + n, n), len(c.terms()) * comb(outside + n, n))
         if count > REWRITE_GUARD:
             raise ValueError(f"reduction may rewrite more than {REWRITE_GUARD} monomials")
 
-    homotopy: dict[Monomial, Scalar] = {}
+    # The input starts over its common denominator and a rewrite multiplies a
+    # denominator by q or by 1, so each is the input's times a power of q.
+    q, (ap1, hbar) = _over([params.alpha_plus_inverse(), params.hbar])
+    factors = (ap1, hbar, q)
+    terms = list(c.terms())
+    den, nums = _over([v for _, v in terms])
+    work = {m: (den, n) for (m, _), n in zip(terms, nums)}
+    homotopy: dict = {}
     for d in range(reach, 0, -1):
         right, left = window.base + 1 + d, window.base - d
         for site in (right, left) if strategy == "right" else (left, right):
             top = max((m.field_exponent(site) for m in work), default=0)
+            if top:
+                y, mirror = _site_rule(site, interval, window)
             for level in range(top, 0, -1):
                 for m in [m for m in work if m.field_exponent(site) == level]:
-                    coeff = work.pop(m)
-                    replacement, hterm = rewrite_step(m, site, interval, window, params)
-                    accumulate(work, ((r, v * coeff) for r, v in replacement.terms()))
-                    accumulate(homotopy, ((h, v * coeff) for h, v in hterm.terms()))
-    return HomotopyCertificate(
-        input=c, normal_form=Cochain(work), homotopy=Cochain(homotopy)
-    )
+                    _rewrite(m, site, y, mirror, work.pop(m), factors, work, homotopy)
+    return HomotopyCertificate(input=c, normal_form=_cochain(work), homotopy=_cochain(homotopy))
 
 
 def normal_form(

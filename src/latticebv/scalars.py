@@ -19,7 +19,7 @@ specialization evaluates each term over ``Fraction``.  No floating point.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Mapping, Union
 
 from ._sparse import TermMap, accumulate, canonical, hbar_alpha, render
@@ -109,23 +109,7 @@ class Scalar(TermMap):
             if not isinstance(other, (int, Fraction)):
                 return NotImplemented
             other = as_scalar(other)
-        a, b = self._terms, other._terms
-        if len(a) == 1:
-            a, b = b, a
-        if len(b) == 1:
-            # a shift of every key by one monomial: no two products collide
-            (((h2, a2), c2),) = b.items()
-            products = {(h1 + h2, a1 + a2): c1 * c2 for (h1, a1), c1 in a.items()}
-        else:
-            products = accumulate(
-                {},
-                (
-                    ((h1 + h2, a1 + a2), c1 * c2)
-                    for (h1, a1), c1 in a.items()
-                    for (h2, a2), c2 in b.items()
-                ),
-            )
-        return _reduced(products, self._den * other._den)
+        return _reduced(_product(self._terms, other._terms), self._den * other._den)
 
     __rmul__ = __mul__
 
@@ -211,6 +195,26 @@ def _scalar(terms: dict, den: int) -> Scalar:
     out._terms = terms
     out._den = den
     return out
+
+
+def _product(a: dict, b: dict) -> dict:
+    """The numerators of the product of two numerator maps, over the product of their denominators."""
+    if len(a) == 1:
+        a, b = b, a
+    if len(b) == 1:
+        # a shift of every key by one monomial: no two products collide
+        (((h2, a2), c2),) = b.items()
+        return {(h1 + h2, a1 + a2): c1 * c2 for (h1, a1), c1 in a.items()}
+    return accumulate(
+        {},
+        (((h1 + h2, a1 + a2), c1 * c2) for (h1, a1), c1 in a.items() for (h2, a2), c2 in b.items()),
+    )
+
+
+def _over(values: list[Scalar]) -> tuple[int, list[dict]]:
+    """The common denominator of ``values`` and, over it, a new numerator dict for each."""
+    den = lcm(*(s._den for s in values))
+    return den, [{k: c * (den // s._den) for k, c in s._terms.items()} for s in values]
 
 
 def _reduced(terms: dict, den: int) -> Scalar:

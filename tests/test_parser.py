@@ -64,6 +64,16 @@ def test_errors_carry_positions():
         parse_cochain("delta[0] @ delta[1]")
     with pytest.raises(ParseError):
         parse_scalar("delta[0]")
+    # a generator term is reported where the first term that survives starts
+    for text, position in (
+        ("1 + hbar*delta[3]", 4),
+        ("-delta[2]", 0),
+        ("delta[0] - delta[0] + 2*delta[1]", 22),
+        ("1 - (delta[1] + 1)", 4),
+    ):
+        with pytest.raises(ParseError, match="found generator term") as err:
+            parse_scalar(text)
+        assert err.value.position == position
     # only ASCII digits and letters: a superscript or Arabic-Indic digit is an unknown character
     for text, position in (("²", 0), ("delta[²]", 6), ("delta[0]^²", 9), ("٣*delta[0]", 0)):
         with pytest.raises(ParseError, match="unknown character") as err:

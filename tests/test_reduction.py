@@ -122,13 +122,15 @@ def test_normal_form_validates_input():
 @pytest.mark.parametrize("c", [d(3) ** 3, d(3) ** 4, d(-3) ** 2 * d(3) ** 2])
 @pytest.mark.parametrize("strategy", STRATEGIES)
 def test_each_monomial_is_rewritten_once_per_site(c, strategy, monkeypatch):
+    # the engine rewrites each monomial through reduction._rewrite
     seen = []
+    rewrite = reduction._rewrite
 
     def recording(m, site, *rest):
         seen.append((m, site))
-        return rewrite_step(m, site, *rest)
+        return rewrite(m, site, *rest)
 
-    monkeypatch.setattr(reduction, "rewrite_step", recording)
+    monkeypatch.setattr(reduction, "_rewrite", recording)
     cert = normal_form(c, J44, Window(0), SYMBOLIC, strategy)
     assert seen and len(seen) == len(set(seen))
     assert verify_certificate(cert, SYMBOLIC)
@@ -156,6 +158,61 @@ def test_rewrite_step_checks_its_termination_measure(monkeypatch):
     monkeypatch.setattr(Window, "distance", lambda self, site: 1)
     with pytest.raises(AssertionError, match="termination measure failed to decrease"):
         rewrite_step(Monomial.make({2: 1}), 2, J33, Window(0), MASSLESS)
+
+
+def test_engine_checks_its_termination_measure_once_per_site(monkeypatch):
+    sites = []
+    site_rule = reduction._site_rule
+
+    def recording(site, *rest):
+        sites.append(site)
+        return site_rule(site, *rest)
+
+    monkeypatch.setattr(reduction, "_site_rule", recording)
+    assert verify_certificate(normal_form(d(3) ** 3 + d(-2), J44, Window(0), SYMBOLIC), SYMBOLIC)
+    assert sites == [3, -2, 2, -1]  # each cleared site once, farthest distance first
+    monkeypatch.setattr(Window, "distance", lambda self, site: 1)
+    with pytest.raises(AssertionError, match="termination measure failed to decrease"):
+        normal_form(d(2), J33, Window(0), MASSLESS)
+
+
+def _reference_reduction(c, interval, window, params, strategy):
+    """The documented schedule, applying rewrite_step with Cochain arithmetic."""
+    work, homotopy = c, Cochain.zero()
+    reach = max((window.distance(s) for s in c.field_support()), default=0)
+    for distance in range(reach, 0, -1):
+        right, left = window.base + 1 + distance, window.base - distance
+        for site in (right, left) if strategy == "right" else (left, right):
+            top = max((m.field_exponent(site) for m, _ in work.terms()), default=0)
+            for level in range(top, 0, -1):
+                # a rewrite at this level makes only lower levels, so the coefficients stay
+                for m, coeff in [(m, v) for m, v in work.terms() if m.field_exponent(site) == level]:
+                    replacement, hterm = rewrite_step(m, site, interval, window, params)
+                    work = work - Cochain({m: coeff}) + replacement * coeff
+                    homotopy = homotopy + hterm * coeff
+    return work, homotopy
+
+
+@pytest.mark.parametrize(
+    "params",
+    [
+        SYMBOLIC,
+        MASSLESS,
+        ModelParams.at(alpha=2),
+        ModelParams.at(hbar=Fraction(1, 2), alpha=Fraction(3, 2)),
+        ModelParams.at(hbar=0),
+    ],
+    ids=["symbolic", "massless", "alpha-2", "hbar-0.5-alpha-1.5", "hbar-0"],
+)
+def test_engine_equals_reference_reducer(params):
+    rng = random.Random(18)
+    ambient = Interval(-5, 5)
+    for i in range(40):
+        c = seeded_cochain(rng, min_site=-4, max_site=4, max_poly_degree=4, even_only=True)
+        window = Window(i % 3 - 1)
+        for strategy in STRATEGIES:
+            cert = normal_form(c, ambient, window, params, strategy)
+            assert (cert.normal_form, cert.homotopy) == _reference_reduction(c, ambient, window, params, strategy)
 
 
 def test_relocation_of_delta0():
