@@ -227,7 +227,8 @@ def _rewrite(
     e = rest.field_exponent(y)
     if e and hbar:
         _add(work, rest.lower_field(y), den * q, _product(nums, scale(hbar, -e)))
-    _add(homotopy, Monomial(rest.fields, (y,)), den, nums)
+    # for one site rest determines m, and y differs between sites: the key is new
+    homotopy[Monomial(rest.fields, (y,))] = coeff
 
 
 def _cochain(acc: dict) -> Cochain:

@@ -45,11 +45,7 @@ class Scalar(TermMap):
 
     def __init__(self, terms: Mapping[tuple[int, int], RationalLike] | None = None):
         rationals = canonical(terms, Fraction, _checked_key)
-        den = 1
-        for c in rationals.values():
-            d = c.denominator
-            if d != 1:
-                den = den // gcd(den, d) * d
+        den = lcm(*(c.denominator for c in rationals.values()))
         # over the lcm of the denominators no common factor is left
         self._terms = {k: c.numerator * (den // c.denominator) for k, c in rationals.items()}
         self._den = den

@@ -9,10 +9,11 @@ the Weyl algebra
 
     K<q, p> / (p q - q p = hbar),
 
-via q = [delta[0]] and p = (1/2)[delta[1] - delta[-1]].  The isomorphism is
-computed triangularly: the star powers of the generators have canonical
-forms with unit leading coefficient on delta[0]^a delta[1]^b, so the change
-of basis is invertible over the coefficient ring without any division.
+via q = [delta[0]] and p = (1/2)[delta[1] - delta[-1]].  The isomorphism
+is the time-ordered product: the class of delta[x1] ... delta[xn] with
+x1 <= ... <= xn is Q(x1) ... Q(xn), where Q(x) = phi(delta(x)) is the
+classifier of the indicator at x.  On the canonical window {0, 1} that is
+q^a Q(1)^b for delta[0]^a delta[1]^b.
 
 Also implemented: the normal-ordered Weyl algebra itself, the translation
 (time evolution) automorphism, the site-negation anti-involution, and the
@@ -28,8 +29,8 @@ from fractions import Fraction
 from typing import Mapping
 
 from ._sparse import TermMap, accumulate, canonical, power, product, render, scale, wrap
-from .cochains import Cochain, Monomial, support_within
-from .complexes import ModelParams
+from .cochains import Cochain, LatticeFunction, support_within
+from .complexes import ModelParams, phi
 from .operad import Interval, factorization_product, time_reversal, translate
 from .reduction import HomotopyCertificate, Window, normal_form, relocate
 from .scalars import Scalar, as_scalar
@@ -221,14 +222,14 @@ class StarAlgebra:
 
     ``StarAlgebra(params, geometry)`` takes the model parameters and a key
     of :data:`GEOMETRIES`.  Each instance caches its own classes,
-    relocations and star powers of the generators (nothing is shared
-    between instances), and converts between classes and normal-ordered
-    Weyl elements both ways, up to total degree :data:`MAX_DEGREE`.
+    relocations, star powers of the generators and powers of Q(1) (nothing
+    is shared between instances), and converts between classes and
+    normal-ordered Weyl elements both ways, up to total degree
+    :data:`MAX_DEGREE`.
 
     ``WeylElement`` products always use the symbolic hbar, so
-    :meth:`to_weyl` is an algebra map only when ``params.hbar`` is the
-    symbol: at hbar := 2/3, ``to_weyl(star(p, q))`` is ``q*p + 2/3`` while
-    ``to_weyl(p) * to_weyl(q)`` is ``q*p + hbar``.
+    :meth:`to_weyl` raises unless ``params.hbar`` is the symbol; the star
+    product itself works at any hbar.
     """
 
     def __init__(self, params: ModelParams, geometry: str):
@@ -237,6 +238,7 @@ class StarAlgebra:
         self._classes: dict[Cochain, H0Class] = {}
         self._reloc: dict[tuple[Cochain, int], Cochain] = {}
         self._psi: dict[tuple[int, int], H0Class] = {}
+        self._q1_powers = [WeylElement.one(), phi(LatticeFunction.delta(1), params)]
 
     # -- classes -------------------------------------------------------------
 
@@ -301,31 +303,28 @@ class StarAlgebra:
         return out
 
     def to_weyl(self, x: H0Class) -> WeylElement:
-        """Express a class in the q, p basis by triangular back-substitution.
+        """The time-ordered product: delta[0]^a delta[1]^b reads as q^a Q(1)^b.
 
-        The canonical form of psi(a, b) is delta[0]^a delta[1]^b plus terms
-        of smaller delta[1]-exponent or smaller total degree, with unit
-        leading coefficient, so coefficients peel off from the top.  The
-        result is read with the symbolic hbar of ``WeylElement`` products,
-        which matches the star product only at a symbolic ``params.hbar``.
+        Q(1) = phi(delta(1)) = ((alpha+alpha^-1)/2) q + p.  A q^a on the
+        left of a normal-ordered term only adds a to its q-exponent, so no
+        term needs a Weyl product.  Raises unless ``params.hbar`` is the
+        symbol that ``WeylElement`` products use.
         """
-        residual = x.canonical_form
-        degree = residual.max_polynomial_degree()
-        if degree > MAX_DEGREE:
+        if self.params.hbar != Scalar.hbar():
+            raise ValueError("to_weyl needs the symbolic hbar of WeylElement products")
+        form = x.canonical_form
+        if form.max_polynomial_degree() > MAX_DEGREE:
             raise ValueError(f"degree bound {MAX_DEGREE} exceeded")
-        coefficients: dict[tuple[int, int], Scalar] = {}
-        for n in range(degree, -1, -1):
-            for b in range(n, -1, -1):
-                a = n - b
-                mono = Monomial.make({0: a, 1: b})
-                c = residual.coefficient(mono)
-                if c.is_zero:
-                    continue
-                coefficients[(a, b)] = c
-                residual = residual - self.psi(a, b).canonical_form * c
-        if not residual.is_zero:
-            raise ValueError(f"canonical form left a residue: {residual}")
-        return WeylElement(coefficients)
+        powers = self._q1_powers
+        out: dict = {}
+        for m, c in form.terms():
+            a, b = m.field_exponent(0), m.field_exponent(1)
+            if a + b != m.polynomial_degree:
+                raise ValueError(f"canonical form leaves the window {{0, 1}}: {m}")
+            while len(powers) <= b:
+                powers.append(powers[-1] * powers[1])
+            accumulate(out, (((qa + a, pb), v * c) for (qa, pb), v in powers[b].terms()))
+        return wrap(WeylElement, out)
 
     def from_weyl(self, w: WeylElement) -> H0Class:
         """The class of a Weyl element: scalar combination of star powers."""
@@ -348,16 +347,14 @@ class StarAlgebra:
 def time_evolution(w: WeylElement, params: ModelParams) -> WeylElement:
     """The translation-by-one automorphism of the Weyl algebra.
 
-    Sends q to ((alpha+alpha^-1)/2) q + p and p to
+    Sends q and p to the classifier images of their translated
+    representatives delta[1] and (1/2)(delta[2] - delta[0]): q to
+    ((alpha+alpha^-1)/2) q + p and p to
     ((alpha-alpha^-1)/2)^2 q + ((alpha+alpha^-1)/2) p; at alpha = 1 this is
     q -> q + p, p -> p.  Extended multiplicatively in normal order.
     """
-    half_sum = params.alpha_plus_inverse() * Fraction(1, 2)
-    quarter_square = (
-        params.alpha_power(2) - Scalar.rational(2) + params.alpha_power(-2)
-    ) * Fraction(1, 4)
-    image_q = WeylElement({(1, 0): half_sum, (0, 1): Scalar.one()})
-    image_p = WeylElement({(1, 0): quarter_square, (0, 1): half_sum})
+    image_q = phi(LatticeFunction.delta(1), params)
+    image_p = phi(LatticeFunction({2: Fraction(1, 2), 0: Fraction(-1, 2)}), params)
     out = WeylElement.zero()
     for (a, b), c in w.terms():
         out = out + (image_q**a) * (image_p**b) * c

@@ -133,6 +133,8 @@ def test_each_monomial_is_rewritten_once_per_site(c, strategy, monkeypatch):
     monkeypatch.setattr(reduction, "_rewrite", recording)
     cert = normal_form(c, J44, Window(0), SYMBOLIC, strategy)
     assert seen and len(seen) == len(set(seen))
+    # each rewrite writes its own homotopy monomial
+    assert len(cert.homotopy.terms()) == len(seen)
     assert verify_certificate(cert, SYMBOLIC)
 
 

@@ -1,11 +1,13 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
-from latticebv.cochains import Cochain
+from latticebv.cli import main
+from latticebv.cochains import Cochain, Monomial
 from latticebv.complexes import ModelParams
-from latticebv.reduction import verify_certificate
+from latticebv.reduction import Window, normal_form, verify_certificate
 from latticebv.scalars import HBAR, Scalar
 from latticebv.weyl import (
     GEOMETRIES,
@@ -164,6 +166,73 @@ def test_degree_bound_enforced():
     algebra = StarAlgebra(SYMBOLIC, "default")
     with pytest.raises(ValueError):
         algebra.psi(7, 6)
+
+
+def _triangular_to_weyl(algebra: StarAlgebra, x: H0Class) -> WeylElement:
+    """Reference: peel the canonical form against the star powers psi(a, b).
+
+    The canonical form of psi(a, b) is delta[0]^a delta[1]^b plus terms of
+    smaller delta[1]-exponent or smaller total degree, with unit leading
+    coefficient, so coefficients come off from the top.
+    """
+    residual = x.canonical_form
+    coefficients = {}
+    for n in range(residual.max_polynomial_degree(), -1, -1):
+        for b in range(n, -1, -1):
+            c = residual.coefficient(Monomial.make({0: n - b, 1: b}))
+            if not c.is_zero:
+                coefficients[(n - b, b)] = c
+                residual = residual - algebra.psi(n - b, b).canonical_form * c
+    assert residual.is_zero
+    return WeylElement(coefficients)
+
+
+@pytest.mark.parametrize("params", [SYMBOLIC, MASSLESS, ModelParams.at(alpha=2)], ids=["alpha", "1", "2"])
+def test_to_weyl_matches_the_triangular_solve(params):
+    algebra = StarAlgebra(params, "default")
+    basis = [(a, n - a) for n in range(7) for a in range(n + 1)]
+    for a, b in basis:
+        x = algebra.psi(a, b)
+        assert algebra.to_weyl(x) == _triangular_to_weyl(algebra, x) == WeylElement({(a, b): 1})
+    for u, v in product(basis, repeat=2):
+        if sum(u) + sum(v) <= 6:
+            x = algebra.star(algebra.psi(*u), algebra.psi(*v))
+            assert algebra.to_weyl(x) == _triangular_to_weyl(algebra, x)
+
+
+def test_to_weyl_uses_neither_psi_nor_star(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("to_weyl must not build star powers")
+
+    rep = d(0) ** 2 * d(1) + (d(2) - d(-1)) ** 3 * d(3) ** 3
+    reference = StarAlgebra(SYMBOLIC, "default")
+    expected = _triangular_to_weyl(reference, reference.class_of(rep))
+    monkeypatch.setattr(StarAlgebra, "psi", refuse)
+    monkeypatch.setattr(StarAlgebra, "star", refuse)
+    fresh = StarAlgebra(SYMBOLIC, "default")
+    x = fresh.class_of(rep)
+    assert x.canonical_form.max_polynomial_degree() == 6
+    assert fresh.to_weyl(x) == expected
+
+
+def test_to_weyl_rejects_a_form_outside_the_window():
+    algebra = StarAlgebra(SYMBOLIC, "default")
+    x = algebra.class_of(d(0))
+    x._cert = normal_form(d(2), GEOMETRIES["default"].ambient, Window(2), SYMBOLIC)
+    with pytest.raises(ValueError, match="leaves the window"):
+        algebra.to_weyl(x)
+
+
+@pytest.mark.parametrize("hbar", [0, 1, Fraction(2, 3)])
+def test_to_weyl_needs_the_symbolic_hbar(hbar):
+    # WeylElement products use the symbol hbar, so a reading at a rational
+    # hbar would not be multiplicative; star itself works at any hbar
+    algebra = StarAlgebra(ModelParams.at(hbar=hbar), "default")
+    comm = algebra.commutator(algebra.p_class, algebra.q_class)
+    assert comm.canonical_form == Cochain.scalar(Fraction(hbar))
+    with pytest.raises(ValueError, match="symbolic hbar"):
+        algebra.to_weyl(algebra.q_class)
+    assert main(["star", "delta[1] - delta[-1]", "delta[0]", "--hbar", str(hbar)]) == 0
 
 
 # -- symmetries ------------------------------------------------------------------
