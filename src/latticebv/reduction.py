@@ -36,16 +36,23 @@ tuples): y and 2y-s must lie closer to the window than s.  That test and
 the legality of y and 2y-s depend only on s, so this site rule runs once
 per cleared site; :func:`rewrite_step` states the rule for one monomial.
 
-The engine holds each coefficient as integer numerators, keyed by (hbar
-power, alpha power), over a positive denominator, and builds each ``Scalar``
-once, at the end.  A rewrite multiplies by alpha+alpha^-1, -1, -e*hbar or 1,
-and the two nontrivial factors sit over one common denominator q, so the
-numerators stay integers at rational points too.
+While it rewrites, the engine keys each monomial by the sorted tuple of its
+field sites, one entry per factor (delta[-3]^2*delta[1] is (-3, -3, 1)):
+finding, lowering and raising a factor are tuple count, index and bisect
+with a slice, and a key's memory grows with its degree, not with the reach.
+Each coefficient is integer numerators, keyed by (hbar power, alpha power),
+over a positive denominator.  A rewrite multiplies by alpha+alpha^-1, -1,
+-e*hbar or 1, whose nontrivial factors sit over one common denominator q,
+so the numerators stay integers at rational points too.  Each ``Monomial``
+and ``Scalar`` is built once, for the output, and the homotopy, which the
+star product never reads, only when a certificate's ``homotopy`` is read.
 """
 
 from __future__ import annotations
 
+from bisect import bisect
 from dataclasses import dataclass
+from itertools import groupby
 from math import comb
 
 from ._sparse import accumulate, scale, wrap
@@ -111,13 +118,32 @@ class Window:
         return f"{{{self.base},{self.base + 1}}}"
 
 
-@dataclass(frozen=True)
 class HomotopyCertificate:
-    """Witness that ``input = normal_form + d_h(homotopy)`` exactly."""
+    """Witness that ``input = normal_form + d_h(homotopy)`` exactly.
 
-    input: Cochain
-    normal_form: Cochain
-    homotopy: Cochain
+    The engine passes its raw homotopy map, from ``(rest, y)`` to
+    ``(den, nums)``, in place of a ``Cochain``; it is built on first read.
+    """
+
+    __slots__ = ("input", "normal_form", "_homotopy")
+
+    def __init__(self, input: Cochain, normal_form: Cochain, homotopy: Cochain | dict):
+        self.input, self.normal_form, self._homotopy = input, normal_form, homotopy
+
+    @property
+    def homotopy(self) -> Cochain:
+        if isinstance(self._homotopy, dict):
+            self._homotopy = _homotopy_cochain(self._homotopy)
+        return self._homotopy
+
+    def _fields(self) -> tuple[Cochain, Cochain, Cochain]:
+        return (self.input, self.normal_form, self.homotopy)
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, HomotopyCertificate) and self._fields() == other._fields()
+
+    def __repr__(self) -> str:
+        return "HomotopyCertificate(input={!r}, normal_form={!r}, homotopy={!r})".format(*self._fields())
 
     def as_dict(self) -> dict:
         return {
@@ -192,7 +218,7 @@ def rewrite_step(
     return wrap(Cochain, terms), wrap(Cochain, {Monomial(rest.fields, (y,)): one})
 
 
-def _add(acc: dict, m: Monomial, den: int, nums: dict) -> None:
+def _add(acc: dict, m: tuple, den: int, nums: dict) -> None:
     """Add ``nums / den`` times ``m`` into ``acc``, a map to ``(den, nums)`` pairs that owns its dicts.
 
     Of two denominators met here one divides the other (see ``_reduce_to_window``).
@@ -212,28 +238,38 @@ def _add(acc: dict, m: Monomial, den: int, nums: dict) -> None:
 
 
 def _rewrite(
-    m: Monomial, site: Site, y: Site, mirror: Site, coeff: tuple, factors: tuple, work: dict, homotopy: dict
+    m: tuple, site: Site, y: Site, mirror: Site, coeff: tuple, factors: tuple, work: dict, homotopy: dict
 ) -> None:
     """:func:`rewrite_step` of ``coeff * m`` on numerators, added into ``work`` and ``homotopy``.
 
-    ``coeff`` is a ``(den, nums)`` pair that the caller hands over;
-    ``factors`` holds the numerators of alpha+alpha^-1 and of hbar over
-    their common denominator q, and q.
+    ``m`` is a sorted site tuple; ``coeff`` is a ``(den, nums)`` pair that
+    the caller hands over; ``factors`` holds the numerators of
+    alpha+alpha^-1 and of hbar over their common denominator q, and q.
     """
     (den, nums), (ap1, hbar, q) = coeff, factors
-    rest = m.lower_field(site)
-    _add(work, rest.raise_field(y), den * q, _product(nums, ap1))
-    _add(work, rest.raise_field(mirror), den, {k: -c for k, c in nums.items()})
-    e = rest.field_exponent(y)
+    i = m.index(site)
+    rest = m[:i] + m[i + 1 :]
+    i = bisect(rest, y)
+    _add(work, rest[:i] + (y,) + rest[i:], den * q, _product(nums, ap1))
+    i = bisect(rest, mirror)
+    _add(work, rest[:i] + (mirror,) + rest[i:], den, {k: -c for k, c in nums.items()})
+    e = rest.count(y)
     if e and hbar:
-        _add(work, rest.lower_field(y), den * q, _product(nums, scale(hbar, -e)))
+        i = rest.index(y)
+        _add(work, rest[:i] + rest[i + 1 :], den * q, _product(nums, scale(hbar, -e)))
     # for one site rest determines m, and y differs between sites: the key is new
-    homotopy[Monomial(rest.fields, (y,))] = coeff
+    homotopy[rest, y] = coeff
 
 
-def _cochain(acc: dict) -> Cochain:
-    """The cochain of a map from monomials to ``(den, nums)`` pairs."""
-    return wrap(Cochain, {m: _reduced(nums, den) for m, (den, nums) in acc.items()})
+def _monomial(sites: tuple, antifields: tuple = ()) -> Monomial:
+    """The monomial of a sorted site tuple, times the given antifields."""
+    return Monomial(tuple((s, len(list(g))) for s, g in groupby(sites)), antifields)
+
+
+def _homotopy_cochain(raw: dict) -> Cochain:
+    """The homotopy of a map from ``(rest, y)`` to ``(den, nums)``: bdelta[y] * rest."""
+    terms = {_monomial(rest, (y,)): _reduced(nums, den) for (rest, y), (den, nums) in raw.items()}
+    return wrap(Cochain, terms)
 
 
 def _reduce_to_window(
@@ -267,18 +303,19 @@ def _reduce_to_window(
     factors = (ap1, hbar, q)
     terms = list(c.terms())
     den, nums = _over([v for _, v in terms])
-    work = {m: (den, n) for (m, _), n in zip(terms, nums)}
+    work = {tuple(s for s, e in m.fields for _ in range(e)): (den, n) for (m, _), n in zip(terms, nums)}
     homotopy: dict = {}
     for d in range(reach, 0, -1):
         right, left = window.base + 1 + d, window.base - d
         for site in (right, left) if strategy == "right" else (left, right):
-            top = max((m.field_exponent(site) for m in work), default=0)
+            top = max((m.count(site) for m in work), default=0)
             if top:
                 y, mirror = _site_rule(site, interval, window)
             for level in range(top, 0, -1):
-                for m in [m for m in work if m.field_exponent(site) == level]:
+                for m in [m for m in work if m.count(site) == level]:
                     _rewrite(m, site, y, mirror, work.pop(m), factors, work, homotopy)
-    return HomotopyCertificate(input=c, normal_form=_cochain(work), homotopy=_cochain(homotopy))
+    normal = wrap(Cochain, {_monomial(m): _reduced(nums, den) for m, (den, nums) in work.items()})
+    return HomotopyCertificate(c, normal, homotopy)
 
 
 def normal_form(

@@ -138,6 +138,15 @@ def test_each_monomial_is_rewritten_once_per_site(c, strategy, monkeypatch):
     assert verify_certificate(cert, SYMBOLIC)
 
 
+def test_an_engine_certificate_compares_and_prints_as_a_stated_one():
+    # one rewrite at site 2, as in test_rewrite_step_with_spectator
+    engine = normal_form(d(2) * d(1), J33, Window(0), MASSLESS)
+    stated = HomotopyCertificate(engine.input, engine.normal_form, bd(1) * d(1))
+    assert repr(engine) == repr(stated)
+    assert engine == stated
+    assert engine != HomotopyCertificate(engine.input, engine.normal_form, bd(1))
+
+
 def test_rewrite_guard_counts_monomials_before_reducing(monkeypatch):
     # degree 3 over the sites 0..3: comb(3 + 4, 4) = 35 monomials
     monkeypatch.setattr(reduction, "REWRITE_GUARD", 34)
@@ -298,3 +307,20 @@ def test_wide_interval_reduces_without_listing_sites():
     peak = peak_allocation(lambda: certs.append(normal_form(c, wide, Window(0), SYMBOLIC)))
     assert peak < 2**20
     assert certs[0].normal_form == normal_form(c, J44, Window(0), SYMBOLIC).normal_form
+
+
+def test_a_far_site_costs_memory_in_its_degree_not_its_reach():
+    # 4,999 rewrites of a degree-1 monomial: a key that spanned the reach of
+    # 5,000 sites, as a dense exponent vector would, takes hundreds of MB
+    params = ModelParams.at(hbar=1, alpha=1)
+    certs = []
+
+    def reduce_and_read():
+        cert = normal_form(d(5000), Interval(-5010, 5010), Window(0), params)
+        certs.append((cert.normal_form, cert.homotopy))
+
+    assert peak_allocation(reduce_and_read) <= 10 * 2**20
+    # at alpha = 1, delta[n] = 2 delta[n-1] - delta[n-2] + d_h(bdelta[n-1])
+    normal, homotopy = certs[0]
+    assert normal == d(1) * 5000 - d(0) * 4999
+    assert homotopy == Cochain({Monomial((), (y,)): 5000 - y for y in range(1, 5000)})

@@ -4,6 +4,7 @@ from itertools import product
 
 import pytest
 
+from latticebv import reduction
 from latticebv.cli import main
 from latticebv.cochains import Cochain, Monomial
 from latticebv.complexes import ModelParams
@@ -213,6 +214,26 @@ def test_to_weyl_uses_neither_psi_nor_star(monkeypatch):
     x = fresh.class_of(rep)
     assert x.canonical_form.max_polynomial_degree() == 6
     assert fresh.to_weyl(x) == expected
+
+
+def test_star_and_to_weyl_build_no_homotopy(monkeypatch):
+    # the star path reads only normal forms; a homotopy is built on first read
+    built = []
+    build = reduction._homotopy_cochain
+
+    def counting(raw):
+        built.append(raw)
+        return build(raw)
+
+    monkeypatch.setattr(reduction, "_homotopy_cochain", counting)
+    algebra = StarAlgebra(SYMBOLIC, "default")
+    x = algebra.star(algebra.star(algebra.psi(1, 1), algebra.psi(2, 0)), algebra.psi(0, 3))
+    assert algebra.to_weyl(x) == WeylElement.q() * WeylElement.p() * WeylElement.q(2) * WeylElement.p(3)
+    assert not built
+    cert = x.certificate
+    assert not cert.homotopy.is_zero and cert.homotopy is cert.homotopy
+    assert len(built) == 1
+    assert verify_certificate(cert, SYMBOLIC)
 
 
 def test_to_weyl_rejects_a_form_outside_the_window():
