@@ -18,14 +18,14 @@ The benchmark's span tracer replaces entries of a class's own ``__dict__``,
 so a class binds each traced method it takes from ``TermMap`` by an alias
 line such as ``__add__ = TermMap.__add__``.
 
-A stored coefficient is an ``int`` numerator or a ``Scalar``, and a rendered
-one a ``Fraction`` or a ``Scalar``; each is false exactly when it is zero,
-so one truth test serves every class.
+A coefficient is an ``int`` numerator over the map's denominator or a
+``Scalar``, false exactly when it is zero, so one truth test serves every
+class; the renderer writes each numerator in lowest terms with one ``gcd``.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+from math import gcd
 from typing import Callable, Hashable, Iterable, Mapping, TypeVar
 
 T = TypeVar("T")
@@ -145,27 +145,29 @@ def hbar_alpha(key: tuple[int, int]) -> str:
     return product(power("hbar", key[0]), power("alpha", key[1]))
 
 
-def render(items: Iterable[tuple[Hashable, object]], name: Callable[[Hashable], str]) -> str:
+def render(items: Iterable[tuple[Hashable, object]], name: Callable[[Hashable], str], den: int = 1) -> str:
     """Render the sum of ``coefficient * basis`` terms, e.g. ``-3/2*hbar*q + p``.
 
     ``items`` are ``(key, coefficient)`` pairs in display order and
     ``name(key)`` is the text of the basis element, empty for the unit.  A
-    rational is written unless it is 1 in front of a nonempty basis element;
-    a one-term Scalar is written as its rational times its hbar and alpha
-    powers, and a Scalar with several terms is parenthesized so the output
-    stays parseable.  The empty sum is ``0``.
+    numerator over ``den`` is written unless it is 1 in front of a nonempty
+    basis element; a one-term Scalar is written as its rational times its
+    hbar and alpha powers, and a Scalar with several terms is parenthesized
+    so the output stays parseable.  The empty sum is ``0``.
     """
     pieces: list[str] = []
     for k, c in items:
-        basis = name(k)
-        if not isinstance(c, Fraction):
+        basis, d = name(k), den
+        if not isinstance(c, int):
             if len(c) > 1:  # its signs stay inside the parentheses
-                c, basis = 1, product(f"({c})", basis)
+                c, d, basis = 1, 1, product(f"({c})", basis)
             else:
-                ((scalar_key, c),) = c.terms()
+                d, ((scalar_key, c),) = c._den, c._terms.items()
                 basis = product(hbar_alpha(scalar_key), basis)
         magnitude = abs(c)
-        body = product("" if magnitude == 1 and basis else str(magnitude), basis)
+        g = gcd(magnitude, d)
+        text = str(magnitude // g) if g == d else f"{magnitude // g}/{d // g}"
+        body = product("" if magnitude == d and basis else text, basis)
         if pieces:
             pieces.append(("- " if c < 0 else "+ ") + body)
         else:

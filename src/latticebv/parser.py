@@ -16,9 +16,12 @@ depth and exponent size are capped by ``MAX_NESTING`` and ``MAX_EXPONENT``,
 and ``MAX_POWER_TERMS`` caps the term bound of a power and of a product;
 input beyond them raises ``ParseError`` before the work is done.
 
-Atoms (primaries but parenthesized ones) multiply out as integers: a product
-of them is one ``Monomial``, signed by ``sort_antifields``, and one ``Scalar``.
-Only a parenthesized factor takes ``Cochain`` powers and products.
+Coefficients stay integer numerators over a denominator until a sum ends,
+which adds with ``scalars._add`` and builds one ``Scalar`` per monomial.  A
+run of atoms (primaries but parenthesized ones) is one ``Monomial``, signed
+by ``sort_antifields``, and one numerator; a parenthesized value times the
+run after it is one ``_mul_monomials`` and one ``scalars._product`` per term.
+Only parenthesized factors take powers and ``Cochain`` products.
 """
 
 from __future__ import annotations
@@ -26,9 +29,9 @@ from __future__ import annotations
 import re
 from math import comb
 
-from ._sparse import accumulate, wrap
-from .cochains import Cochain, Monomial, sort_antifields
-from .scalars import Scalar, _reduced
+from ._sparse import wrap
+from .cochains import Cochain, Monomial, _mul_monomials, sort_antifields
+from .scalars import Scalar, _add, _product, _reduced
 
 __all__ = ["ParseError", "parse_cochain", "parse_scalar", "MAX_NESTING", "MAX_EXPONENT", "MAX_POWER_TERMS"]
 
@@ -71,16 +74,19 @@ class _Parser:
         self.pos += 1
 
     def expr(self) -> dict:
-        terms = dict(self.term(False))
+        sums: dict = {}  # monomial -> (den, numerators)
+        for m, den, nums in self.term(False):
+            _add(sums, m, den, nums)
         while self.tokens[self.pos] in ("+", "-"):
             self.pos += 1
-            accumulate(terms, self.term(self.tokens[self.pos - 1] == "-"))
+            for m, den, nums in self.term(self.tokens[self.pos - 1] == "-"):
+                _add(sums, m, den, nums)
         if not self.depth and self.tokens[self.pos]:
             raise self.error(f"unexpected trailing input {self.tokens[self.pos]!r}", self.pos)
-        return terms
+        return {m: _reduced(nums, den) for m, (den, nums) in sums.items()}
 
-    def term(self, negate: bool):
-        """The terms of one product; num/den, hbar, alpha, fields and anti hold its run of atoms."""
+    def term(self, negate: bool) -> list:
+        """One product as ``(monomial, den, nums)`` terms; num/den, hbar, alpha, fields, anti hold its run."""
         num, den, hbar, alpha, fields, anti = -1 if negate else 1, 1, 0, 0, {}, []
         value, count, star = None, 0, None  # the factors before the run, their terms, the last '*'
         while True:
@@ -90,7 +96,8 @@ class _Parser:
             if tok == "(":
                 paren = self.parenthesized()
                 if star is not None:  # the run comes before the factor
-                    value = _times(value, num, den, hbar, alpha, fields, anti)
+                    run = _times(value, num, den, hbar, alpha, fields, anti)
+                    value = wrap(Cochain, {m: _reduced(nums, d) for m, d, nums in run})
                     num, den, hbar, alpha, fields, anti = 1, 1, 0, 0, {}, []
                     # a product has at most one term per pair of factor terms
                     if _term_count(value) * _term_count(paren) > MAX_POWER_TERMS:
@@ -128,7 +135,7 @@ class _Parser:
             if star is not None and num and count > MAX_POWER_TERMS:
                 raise self.error(f"product may exceed {MAX_POWER_TERMS} terms", star)
             if self.tokens[self.pos] != "*":
-                return _times(value, num, den, hbar, alpha, fields, anti).terms()
+                return _times(value, num, den, hbar, alpha, fields, anti)
             star = self.pos
             self.pos += 1
 
@@ -177,14 +184,17 @@ class _Parser:
             raise self.error("number too long", self.pos - 1) from None
 
 
-def _times(value: Cochain | None, num, den, hbar, alpha, fields, anti) -> Cochain:
-    """``value`` (1 when None) times the run."""
+def _times(value: Cochain | None, num, den, hbar, alpha, fields, anti) -> list:
+    """The ``(monomial, den, numerators)`` terms of ``value`` (1 when None) times the run."""
     sites, sign = sort_antifields(anti)
     if not (num and sign):
-        return Cochain()
-    mono = Monomial(tuple(sorted(fields.items())), sites)
-    run = wrap(Cochain, {mono: _reduced({(hbar, alpha): num * sign}, den)})
-    return run if value is None else value * run
+        return []
+    run = Monomial(tuple(sorted(fields.items())), sites) if fields or sites else Monomial.UNIT
+    num *= sign
+    if value is None:
+        return [(run, den, {(hbar, alpha): num})]
+    products = ((_mul_monomials(m, run), s) for m, s in value.terms())  # k is the Koszul sign
+    return [(m, s._den * den, _product(s._terms, {(hbar, alpha): num * k})) for (m, k), s in products if k]
 
 
 def _term_count(c: Cochain) -> int:
@@ -212,7 +222,7 @@ def parse_scalar(text: str) -> Scalar:
         parser = _Parser(text)
         while True:
             start = parser.pos
-            for m, _ in parser.term(False):
+            for m, _, _ in parser.term(False):
                 if m != Monomial.UNIT and c.coefficient(m):
                     raise parser.error(f"expected a scalar, found generator term {m}", start)
             parser.pos += 1  # past the '+' or '-' before the next term

@@ -41,11 +41,12 @@ field sites, one entry per factor (delta[-3]^2*delta[1] is (-3, -3, 1)):
 finding, lowering and raising a factor are tuple count, index and bisect
 with a slice, and a key's memory grows with its degree, not with the reach.
 Each coefficient is integer numerators, keyed by (hbar power, alpha power),
-over a positive denominator.  A rewrite multiplies by alpha+alpha^-1, -1,
--e*hbar or 1, whose nontrivial factors sit over one common denominator q,
-so the numerators stay integers at rational points too.  Each ``Monomial``
-and ``Scalar`` is built once, for the output, and the homotopy, which the
-star product never reads, only when a certificate's ``homotopy`` is read.
+over a positive denominator, and ``scalars._add`` adds two, as in the parser.
+A rewrite multiplies by alpha+alpha^-1, -1, -e*hbar or 1, whose nontrivial
+factors sit over one common denominator q, so the numerators stay integers
+at rational points too.  Each ``Monomial`` and ``Scalar`` is built once, for
+the output, and the homotopy, which the star product never reads, only when
+a certificate's ``homotopy`` is read.
 """
 
 from __future__ import annotations
@@ -55,11 +56,11 @@ from dataclasses import dataclass
 from itertools import groupby
 from math import comb
 
-from ._sparse import accumulate, scale, wrap
+from ._sparse import scale, wrap
 from .cochains import Cochain, Monomial, Site, support_within
 from .complexes import ModelParams, d_quantum
 from .operad import Interval
-from .scalars import Scalar, _over, _product, _reduced
+from .scalars import Scalar, _add, _over, _product, _reduced
 
 __all__ = [
     "Window",
@@ -218,25 +219,6 @@ def rewrite_step(
     return wrap(Cochain, terms), wrap(Cochain, {Monomial(rest.fields, (y,)): one})
 
 
-def _add(acc: dict, m: tuple, den: int, nums: dict) -> None:
-    """Add ``nums / den`` times ``m`` into ``acc``, a map to ``(den, nums)`` pairs that owns its dicts.
-
-    Of two denominators met here one divides the other (see ``_reduce_to_window``).
-    """
-    held = acc.get(m)
-    if held is None:
-        acc[m] = (den, nums)
-        return
-    held_den, held_nums = held
-    if held_den < den:
-        held_nums = scale(held_nums, den // held_den)
-        acc[m] = (den, held_nums)
-    elif den < held_den:
-        nums = scale(nums, held_den // den)
-    if not accumulate(held_nums, nums.items()):
-        del acc[m]
-
-
 def _rewrite(
     m: tuple, site: Site, y: Site, mirror: Site, coeff: tuple, factors: tuple, work: dict, homotopy: dict
 ) -> None:
@@ -279,12 +261,7 @@ def _reduce_to_window(
     params: ModelParams,
     strategy: str,
 ) -> HomotopyCertificate:
-    if strategy not in STRATEGIES:
-        raise ValueError(f"unknown strategy {strategy!r}")
-    if not c.is_even_degree_zero:
-        raise ValueError("reduction applies to purely even degree-0 cochains only")
-    if not support_within(c, interval):
-        raise ValueError(f"cochain is not supported within {interval}")
+    """The reduction proper of an even degree-0 ``c`` supported within ``interval``."""
     field_sites = interval.field_sites()
     if not all(s in field_sites for s in window.sites):
         raise ValueError(f"window {window} is not made of field sites of {interval}")
@@ -332,6 +309,12 @@ def normal_form(
     independent of the strategy (confluence; checked by the harness, not
     assumed here).
     """
+    if strategy not in STRATEGIES:
+        raise ValueError(f"unknown strategy {strategy!r}")
+    if not c.is_even_degree_zero:
+        raise ValueError("reduction applies to purely even degree-0 cochains only")
+    if not support_within(c, interval):
+        raise ValueError(f"cochain is not supported within {interval}")
     return _reduce_to_window(c, interval, window, params, strategy)
 
 
@@ -343,4 +326,4 @@ def relocate(
     Same engine as :func:`normal_form`, aimed at {t, t+1}; the class is
     unchanged, as witnessed by the certificate.
     """
-    return _reduce_to_window(c, interval, window, params, "right")
+    return normal_form(c, interval, window, params)

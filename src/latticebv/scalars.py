@@ -22,7 +22,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Mapping, Union
 
-from ._sparse import TermMap, accumulate, canonical, hbar_alpha, render
+from ._sparse import TermMap, accumulate, canonical, hbar_alpha, render, scale
 
 RationalLike = Union[int, Fraction]
 
@@ -79,15 +79,10 @@ class Scalar(TermMap):
     def __add__(self, other: "Scalar | RationalLike") -> "Scalar":
         if not isinstance(other, Scalar):
             other = as_scalar(other)
-        a, b = self._terms, other._terms
-        d1, d2 = self._den, other._den
-        if d1 == d2:
-            return _reduced(accumulate(dict(a), b.items()), d1)
-        # over the lcm of the two denominators
-        g = gcd(d1, d2)
-        m1, m2 = d2 // g, d1 // g
-        sums = {k: c * m1 for k, c in a.items()}
-        return _reduced(accumulate(sums, ((k, c * m2) for k, c in b.items())), d1 * m1)
+        acc = {0: (self._den, dict(self._terms))}
+        _add(acc, 0, other._den, other._terms)
+        den, nums = acc.get(0) or (1, {})
+        return _reduced(nums, den)
 
     __radd__ = __add__
 
@@ -182,7 +177,7 @@ class Scalar(TermMap):
     # -- rendering ---------------------------------------------------------
 
     def __str__(self) -> str:
-        return render(sorted(self.terms()), hbar_alpha)
+        return render(sorted(self._terms.items()), hbar_alpha, self._den)
 
 
 def _scalar(terms: dict, den: int) -> Scalar:
@@ -205,6 +200,25 @@ def _product(a: dict, b: dict) -> dict:
         {},
         (((h1 + h2, a1 + a2), c1 * c2) for (h1, a1), c1 in a.items() for (h2, a2), c2 in b.items()),
     )
+
+
+def _add(acc: dict, key, den: int, nums: dict) -> None:
+    """Add ``nums / den`` times ``key`` into ``acc``, a map to ``(den, nums)`` pairs that owns its dicts.
+
+    Denominators meet over their lcm, and equal ones are not rescaled.
+    """
+    held_den, held_nums = acc.setdefault(key, (den, nums))
+    if held_nums is nums:  # the key was new
+        return
+    if held_den != den:
+        common = lcm(held_den, den)
+        if common != held_den:
+            held_nums = scale(held_nums, common // held_den)
+            acc[key] = (common, held_nums)
+        if common != den:
+            nums = scale(nums, common // den)
+    if not accumulate(held_nums, nums.items()):
+        del acc[key]
 
 
 def _over(values: list[Scalar]) -> tuple[int, list[dict]]:

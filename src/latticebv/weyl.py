@@ -32,7 +32,7 @@ from ._sparse import TermMap, accumulate, canonical, power, product, render, sca
 from .cochains import Cochain, LatticeFunction, support_within
 from .complexes import ModelParams, phi
 from .operad import Interval, factorization_product, time_reversal, translate
-from .reduction import HomotopyCertificate, Window, normal_form, relocate
+from .reduction import HomotopyCertificate, Window, _reduce_to_window, relocate
 from .scalars import Scalar, as_scalar
 
 __all__ = [
@@ -189,7 +189,8 @@ class H0Class:
     @property
     def certificate(self) -> HomotopyCertificate:
         if self._cert is None:
-            self._cert = normal_form(self.rep, self.ambient, CANONICAL_WINDOW, self.params)
+            # __init__ has checked the representative: the reduction proper
+            self._cert = _reduce_to_window(self.rep, self.ambient, CANONICAL_WINDOW, self.params, "right")
         return self._cert
 
     @property

@@ -215,3 +215,44 @@ def test_a_sum_of_atom_products_makes_no_cochain_product(monkeypatch):
     # the counters see the fallback of a parenthesized factor
     parse_cochain("(delta[0] + delta[1])^2*(delta[2] - hbar)")
     assert calls.count("__pow__") == 1 and "__mul__" in calls
+
+
+def test_a_long_coefficient_times_its_run_is_summed_on_numerators(monkeypatch):
+    rng = random.Random(24)
+    sums: dict = {}
+    pieces = []
+    for _ in range(2000):
+        value = Fraction(rng.choice([-1, 1]) * rng.randint(1, 30), rng.randint(1, 12))
+        key = (rng.randint(0, 3), rng.randint(-3, 3))
+        sums[key] = sums.get(key, 0) + value
+        text = f"{abs(value.numerator)}/{value.denominator}*hbar^{key[0]}*alpha^{key[1]}"
+        pieces.append(("- " if value < 0 else "+ ") + text)
+    text = "(" + " ".join(pieces).removeprefix("+ ") + ")*bdelta[1]*delta[0]"
+    coefficient = Scalar(sums)
+    assert len(coefficient) == 4 * 7  # every hbar and alpha power survives the sum
+    want = Cochain.monomial({0: 1}, [1], coefficient)
+
+    def forbidden(*args):
+        raise AssertionError("the parser added Scalars or multiplied Cochains")
+
+    for cls, name in ((Scalar, "__add__"), (Scalar, "__radd__"), (Cochain, "__mul__")):
+        monkeypatch.setattr(cls, name, forbidden)
+    got = parse_cochain(text)
+    monkeypatch.undo()
+    assert got == want
+
+
+def test_the_run_after_a_parenthesized_factor_carries_its_koszul_sign():
+    got = parse_cochain("bdelta[2]*(1/2 + hbar)*bdelta[1]")
+    assert got == parse_cochain("-(1/2 + hbar)*bdelta[1]*bdelta[2]")
+    assert got == bd(1) * bd(2) * -(HBAR + Fraction(1, 2))
+
+
+def test_a_parenthesized_sum_that_cancels_drops_its_term():
+    assert parse_cochain("(1/2*hbar + 1/3*hbar - 5/6*hbar)*delta[0] + delta[1]") == d(1)
+
+
+def test_a_sum_of_rationals_is_reduced_once():
+    got = parse_scalar("(1/6 + 1/3)")
+    assert got == Scalar.rational(Fraction(1, 2))
+    assert hash(got) == hash(Scalar.rational(Fraction(1, 2)))

@@ -1,10 +1,13 @@
 import random
+import sys
+from collections import Counter
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 import pytest
 
-from latticebv import reduction
+from latticebv import operad, reduction, weyl
 from latticebv.cli import main
 from latticebv.cochains import Cochain, Monomial
 from latticebv.complexes import ModelParams
@@ -22,6 +25,7 @@ from latticebv.weyl import (
 )
 
 d = Cochain.field
+BENCHMARK = str(Path(__file__).resolve().parents[1] / "benchmark")
 
 MASSLESS = ModelParams.massless()
 SYMBOLIC = ModelParams.symbolic()
@@ -359,6 +363,31 @@ def test_h0_class_validation():
         H0Class(Cochain.antifield(0), GEOMETRIES["default"].ambient, SYMBOLIC)
     with pytest.raises(ValueError):
         H0Class(d(7), GEOMETRIES["default"].ambient, SYMBOLIC)
+
+
+def test_a_class_certificate_does_not_recheck_its_representative(monkeypatch):
+    # H0Class.__init__ checks the representative; its certificate runs the
+    # reduction proper, while relocate still checks its argument
+    sys.path.insert(0, BENCHMARK)
+    try:
+        import workloads
+    finally:
+        sys.path.remove(BENCHMARK)
+    calls = Counter()
+    for module in (operad, reduction, weyl):
+        check = module.support_within
+        monkeypatch.setattr(
+            module, "support_within", lambda c, i, _f=check, _m=module.__name__: calls.update([_m]) or _f(c, i)
+        )
+    star = workloads.WORKLOADS["star-massless"]
+    objs = star.build()
+    for inp in star.inputs(1):
+        star.op(objs, inp)
+    # the 191 classes are checked once each, by H0Class.__init__; the engine
+    # checks only the arguments of the 159 relocations
+    assert calls == {"latticebv.weyl": 191, "latticebv.reduction": 159, "latticebv.operad": 234}
+    with pytest.raises(ValueError, match="not supported"):
+        objs["algebra"]._relocated(d(9), Window(3))
 
 
 def test_h0_class_arithmetic_and_equality():
