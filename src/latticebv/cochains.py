@@ -16,8 +16,9 @@ scalars.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect
 from fractions import Fraction
+from itertools import groupby
 from typing import Callable, Iterable, Mapping
 
 from ._sparse import TermMap, accumulate, canonical, power, render, scale, wrap
@@ -65,17 +66,16 @@ def sort_antifields(sites: Iterable[Site]) -> tuple[tuple[Site, ...], int]:
 class Monomial:
     """Canonical monomial: sorted antifield word times a field power product.
 
-    ``fields`` is a tuple of ``(site, exponent)`` pairs sorted by site with
-    positive exponents; ``antifields`` is a strictly ascending site tuple.
-    The monomial denotes bdelta[s1]...bdelta[sk] * prod delta[x]^e,
-    with the odd factors written first.
+    ``fields`` is the ascending tuple of field sites, one entry per factor,
+    so delta[-3]^2*delta[1] has fields (-3, -3, 1); ``antifields`` is a
+    strictly ascending site tuple.  The monomial denotes
+    bdelta[s1]...bdelta[sk] * delta[x1]...delta[xn], with the odd factors
+    written first.
     """
 
     __slots__ = ("fields", "antifields", "_hash")
 
-    def __init__(
-        self, fields: tuple[tuple[Site, int], ...], antifields: tuple[Site, ...]
-    ):
+    def __init__(self, fields: tuple[Site, ...], antifields: tuple[Site, ...]):
         self.fields = fields
         self.antifields = antifields
         self._hash = hash((fields, antifields))
@@ -87,11 +87,10 @@ class Monomial:
         antifields: tuple[Site, ...] = (),
     ) -> "Monomial":
         """Build from already-sorted antifields and a field exponent map."""
-        items = fields.items() if isinstance(fields, Mapping) else fields
-        fc = tuple(sorted((s, e) for s, e in items if e))
-        if any(e < 0 for _, e in fc):
+        items = sorted(fields.items() if isinstance(fields, Mapping) else fields)
+        if any(e < 0 for _, e in items):
             raise ValueError("field exponents must be positive")
-        return cls(fc, antifields)
+        return cls(tuple(s for s, e in items for _ in range(e)), antifields)
 
     UNIT: "Monomial"
 
@@ -102,34 +101,20 @@ class Monomial:
 
     @property
     def polynomial_degree(self) -> int:
-        return sum(e for _, e in self.fields) + len(self.antifields)
-
-    def field_exponent(self, site: Site) -> int:
-        for s, e in self.fields:
-            if s == site:
-                return e
-        return 0
+        return len(self.fields) + len(self.antifields)
 
     def lower_field(self, site: Site) -> "Monomial":
-        """Remove one delta[site] factor (the exponent must be positive)."""
-        fields = tuple(
-            (s, e - 1 if s == site else e)
-            for s, e in self.fields
-            if not (s == site and e == 1)
-        )
-        return Monomial(fields, self.antifields)
+        """Remove one delta[site] factor (the monomial must carry one)."""
+        i = self.fields.index(site)
+        return Monomial(self.fields[:i] + self.fields[i + 1 :], self.antifields)
 
     def raise_field(self, site: Site) -> "Monomial":
         """Multiply by one delta[site] factor (even, so no sign)."""
-        fields = self.fields
-        i = bisect_left(fields, (site,))
-        if i < len(fields) and fields[i][0] == site:
-            raised = ((site, fields[i][1] + 1),)
-            return Monomial(fields[:i] + raised + fields[i + 1 :], self.antifields)
-        return Monomial(fields[:i] + ((site, 1),) + fields[i:], self.antifields)
+        i = bisect(self.fields, site)
+        return Monomial(self.fields[:i] + (site,) + self.fields[i:], self.antifields)
 
     def sort_key(self) -> tuple:
-        return (self.antifields, self.fields)
+        return (self.antifields, _powers(self.fields))
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -143,8 +128,7 @@ class Monomial:
 
     def __str__(self) -> str:
         factors = [f"bdelta[{s}]" for s in self.antifields]
-        for s, e in self.fields:
-            factors.append(power(f"delta[{s}]", e))
+        factors += (power(f"delta[{s}]", e) for s, e in _powers(self.fields))
         return "*".join(factors) if factors else "1"
 
     def __repr__(self) -> str:
@@ -152,6 +136,11 @@ class Monomial:
 
 
 Monomial.UNIT = Monomial((), ())
+
+
+def _powers(fields: tuple[Site, ...]) -> tuple[tuple[Site, int], ...]:
+    """The ``(site, exponent)`` pairs of a sorted site tuple, for rendering and term order."""
+    return tuple((s, len(list(run))) for s, run in groupby(fields))
 
 
 def _mul_monomials(a: Monomial, b: Monomial) -> tuple[Monomial | None, int]:
@@ -162,15 +151,7 @@ def _mul_monomials(a: Monomial, b: Monomial) -> tuple[Monomial | None, int]:
             return None, 0
     else:
         anti, sign = a.antifields or b.antifields, 1
-    if not b.fields:
-        fields = a.fields
-    elif not a.fields:
-        fields = b.fields
-    else:
-        merged = dict(a.fields)
-        for s, e in b.fields:
-            merged[s] = merged.get(s, 0) + e
-        fields = tuple(sorted(merged.items()))
+    fields = tuple(sorted(a.fields + b.fields)) if a.fields and b.fields else a.fields or b.fields
     return Monomial(fields, anti), sign
 
 
@@ -195,7 +176,7 @@ class Cochain(TermMap):
     @classmethod
     def field(cls, site: Site) -> "Cochain":
         """The generator delta[site]."""
-        return cls({Monomial(((site, 1),), ()): Scalar.one()})
+        return cls({Monomial((site,), ()): Scalar.one()})
 
     @classmethod
     def antifield(cls, site: Site) -> "Cochain":
@@ -265,7 +246,7 @@ class Cochain(TermMap):
     def field_support(self) -> set[Site]:
         out: set[Site] = set()
         for m in self._terms:
-            out.update(s for s, _ in m.fields)
+            out.update(m.fields)
         return out
 
     def antifield_support(self) -> set[Site]:
@@ -288,7 +269,7 @@ class Cochain(TermMap):
         derived = (
             (m.lower_field(site), c * e)
             for m, c in self._terms.items()
-            if (e := m.field_exponent(site))
+            if (e := m.fields.count(site))
         )
         return wrap(Cochain, accumulate({}, derived))
 
@@ -319,12 +300,12 @@ class Cochain(TermMap):
 
         def moved():
             for m, c in self._terms.items():
-                fields = {fn(s): e for s, e in m.fields}
-                if len(fields) != len(m.fields):
+                fields = tuple(sorted(map(fn, m.fields)))
+                if len(set(fields)) != len(set(m.fields)):
                     raise ValueError("site map is not injective on the support")
                 anti, sign = sort_antifields(fn(s) for s in m.antifields)
                 if sign:
-                    yield Monomial.make(fields, anti), (c if sign > 0 else -c)
+                    yield Monomial(fields, anti), (c if sign > 0 else -c)
 
         return wrap(Cochain, accumulate({}, moved()))
 
@@ -370,7 +351,7 @@ class LatticeFunction(TermMap):
 
     def as_field_cochain(self) -> Cochain:
         """The degree-0 cochain sum f(x) delta[x]."""
-        return Cochain({Monomial.make({s: 1}): v for s, v in self._terms.items()})
+        return Cochain({Monomial((s,), ()): v for s, v in self._terms.items()})
 
     def as_antifield_cochain(self) -> Cochain:
         """The degree-(-1) cochain sum f(x) bdelta[x]."""
@@ -399,6 +380,6 @@ def support_within(c: Cochain, interval) -> bool:
     """
     fields, antifields = interval.field_sites(), interval.antifield_sites()
     return all(
-        all(s in fields for s, _ in m.fields) and all(s in antifields for s in m.antifields)
+        all(s in fields for s in m.fields) and all(s in antifields for s in m.antifields)
         for m, _ in c.terms()
     )

@@ -96,7 +96,7 @@ def laplace(f: LatticeFunction, params: ModelParams) -> LatticeFunction:
     delta[-1] - 2*delta[0] + delta[1]
     """
     image = differential(f.as_antifield_cochain(), params)
-    return wrap(LatticeFunction, {m.fields[0][0]: c for m, c in image.terms()})
+    return wrap(LatticeFunction, {m.fields[0]: c for m, c in image.terms()})
 
 
 def differential(c: Cochain, params: ModelParams) -> Cochain:
@@ -129,7 +129,7 @@ def odd_laplacian(c: Cochain) -> Cochain:
     def images():
         for m, coeff in c.terms():
             for i, s in enumerate(m.antifields):
-                e = m.field_exponent(s)
+                e = m.fields.count(s)
                 if e:
                     rest = m.antifields[:i] + m.antifields[i + 1 :]
                     term = coeff * e

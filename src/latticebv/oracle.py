@@ -83,16 +83,6 @@ def d_quantum_reference(c: Cochain, params: ModelParams) -> Cochain:
     return out + laplacian * params.hbar
 
 
-def _field_monomials(sites: range, max_total: int):
-    """All sorted field exponent tuples of total degree <= max_total."""
-    for d in range(max_total + 1):
-        for combo in combinations_with_replacement(sites, d):
-            fields: dict[int, int] = {}
-            for s in combo:
-                fields[s] = fields.get(s, 0) + 1
-            yield tuple(sorted(fields.items()))
-
-
 def truncated_basis(interval: Interval, maxdeg: int) -> dict[int, list[Monomial]]:
     """Monomial basis per cohomological degree, total degree <= maxdeg.
 
@@ -118,7 +108,8 @@ def truncated_basis(interval: Interval, maxdeg: int) -> dict[int, list[Monomial]
         monomials = [
             Monomial(fields, anti)
             for anti in combinations(antifield_sites, k)
-            for fields in _field_monomials(field_sites, maxdeg - k)
+            for d in range(maxdeg - k + 1)
+            for fields in combinations_with_replacement(field_sites, d)
         ]
         monomials.sort(key=Monomial.sort_key)
         basis[-k] = monomials
@@ -199,7 +190,7 @@ def _differential_columns(
             reduced = Monomial(m.fields, word[:i] + word[i + 1 :])
             for site, weight in zip((s - 1, s, s + 1), signed[i % 2]):
                 row[codomain_index[reduced.raise_field(site)]] = weight
-            e = m.field_exponent(s)
+            e = m.fields.count(s)
             if e and h:
                 row[codomain_index[reduced.lower_field(s)]] = (-1) ** i * e * h
         columns.append(row)

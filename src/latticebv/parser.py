@@ -13,8 +13,9 @@ Example: ``3*delta[0]*delta[1] - 2*hbar*bdelta[2]``.  Negative exponents are
 only meaningful on invertible scalars (``alpha^-1``).  The renderers in this
 package emit exactly this grammar, so parse and print round-trip.  Nesting
 depth and exponent size are capped by ``MAX_NESTING`` and ``MAX_EXPONENT``,
-and ``MAX_POWER_TERMS`` caps the term bound of a power and of a product;
-input beyond them raises ``ParseError`` before the work is done.
+``MAX_POWER_TERMS`` caps the term bound of a power and of a product, and
+``MAX_DEGREE`` the polynomial degree of a term; input beyond them raises
+``ParseError`` before the work is done.
 
 Coefficients stay integer numerators over a denominator until a sum ends,
 which adds with ``scalars._add`` and builds one ``Scalar`` per monomial.  A
@@ -33,7 +34,9 @@ from ._sparse import wrap
 from .cochains import Cochain, Monomial, _mul_monomials, sort_antifields
 from .scalars import Scalar, _add, _product, _reduced
 
-__all__ = ["ParseError", "parse_cochain", "parse_scalar", "MAX_NESTING", "MAX_EXPONENT", "MAX_POWER_TERMS"]
+__all__ = [
+    "ParseError", "parse_cochain", "parse_scalar", "MAX_NESTING", "MAX_EXPONENT", "MAX_DEGREE", "MAX_POWER_TERMS"
+]
 
 # ASCII only: a token is a number, a name or one other character; _UNKNOWN, one outside the grammar
 _TOKEN = re.compile(r"[0-9]+|[A-Za-z_][A-Za-z0-9_]*|\S", re.ASCII)
@@ -43,6 +46,8 @@ _UNKNOWN = re.compile(r"[^0-9A-Za-z_\[\]()^*+\-/\s]", re.ASCII)
 MAX_NESTING = 100
 # largest exponent magnitude accepted; a power multiplies one factor at a time
 MAX_EXPONENT = 256
+# largest polynomial degree of a term; a monomial holds one entry per factor
+MAX_DEGREE = 256
 # largest term count a power or a product may reach, bounded before it is multiplied out
 MAX_POWER_TERMS = 10000
 
@@ -87,8 +92,8 @@ class _Parser:
 
     def term(self, negate: bool) -> list:
         """One product as ``(monomial, den, nums)`` terms; num/den, hbar, alpha, fields, anti hold its run."""
-        num, den, hbar, alpha, fields, anti = -1 if negate else 1, 1, 0, 0, {}, []
-        value, count, star = None, 0, None  # the factors before the run, their terms, the last '*'
+        num, den, hbar, alpha, fields, anti = -1 if negate else 1, 1, 0, 0, [], []
+        value, count, degree, star = None, 0, 0, None  # the factors before the run: terms, degree; the last '*'
         while True:
             while self.tokens[self.pos] == "-":
                 self.pos, num = self.pos + 1, -num
@@ -96,14 +101,17 @@ class _Parser:
             if tok == "(":
                 paren = self.parenthesized()
                 if star is not None:  # the run comes before the factor
+                    degree += len(fields) + len(anti)
                     run = _times(value, num, den, hbar, alpha, fields, anti)
                     value = wrap(Cochain, {m: _reduced(nums, d) for m, d, nums in run})
-                    num, den, hbar, alpha, fields, anti = 1, 1, 0, 0, {}, []
+                    num, den, hbar, alpha, fields, anti = 1, 1, 0, 0, [], []
                     # a product has at most one term per pair of factor terms
                     if _term_count(value) * _term_count(paren) > MAX_POWER_TERMS:
                         raise self.error(f"product may exceed {MAX_POWER_TERMS} terms", star)
+                    if degree + paren.max_polynomial_degree() > MAX_DEGREE:
+                        raise self.error(f"product may exceed degree {MAX_DEGREE}", star)
                 value = paren if star is None else value * paren
-                count = _term_count(value)
+                count, degree = _term_count(value), value.max_polynomial_degree()
             elif tok.isdigit():
                 p, q = self.number(), 1
                 if self.tokens[self.pos] == "/":
@@ -124,10 +132,12 @@ class _Parser:
                 self.expect("]")
                 n = self.exponent(False)
                 if tok == "delta" and n:
-                    fields[site] = fields.get(site, 0) + n
+                    fields += [site] * n
                 elif tok == "bdelta" and n:
                     anti.append(site)
                     num *= n == 1  # an odd generator squares to zero
+                if degree + len(fields) + len(anti) > MAX_DEGREE:  # only after a '*': one atom is within it
+                    raise self.error(f"product may exceed degree {MAX_DEGREE}", star)
             else:
                 kind = "unknown name" if tok.isidentifier() else "unexpected token"
                 raise self.error(f"{kind} {tok!r}", self.pos)
@@ -153,6 +163,8 @@ class _Parser:
             # a power of a sum of t terms has at most one term per multiset of n of them
             if n > 1 and comb(_term_count(value) + n - 1, n) > MAX_POWER_TERMS:
                 raise self.error(f"power may exceed {MAX_POWER_TERMS} terms", caret)
+            if value.max_polynomial_degree() * n > MAX_DEGREE:
+                raise self.error(f"power may exceed degree {MAX_DEGREE}", caret)
             return value if n == 1 else value**n
         try:  # only a scalar unit c*alpha^k has an inverse
             if value.max_polynomial_degree():
@@ -189,7 +201,7 @@ def _times(value: Cochain | None, num, den, hbar, alpha, fields, anti) -> list:
     sites, sign = sort_antifields(anti)
     if not (num and sign):
         return []
-    run = Monomial(tuple(sorted(fields.items())), sites) if fields or sites else Monomial.UNIT
+    run = Monomial(tuple(sorted(fields)), sites) if fields or sites else Monomial.UNIT
     num *= sign
     if value is None:
         return [(run, den, {(hbar, alpha): num})]

@@ -36,10 +36,7 @@ tuples): y and 2y-s must lie closer to the window than s.  That test and
 the legality of y and 2y-s depend only on s, so this site rule runs once
 per cleared site; :func:`rewrite_step` states the rule for one monomial.
 
-While it rewrites, the engine keys each monomial by the sorted tuple of its
-field sites, one entry per factor (delta[-3]^2*delta[1] is (-3, -3, 1)):
-finding, lowering and raising a factor are tuple count, index and bisect
-with a slice, and a key's memory grows with its degree, not with the reach.
+While it rewrites, the engine keys each monomial by its ``fields`` tuple.
 Each coefficient is integer numerators, keyed by (hbar power, alpha power),
 over a positive denominator, and ``scalars._add`` adds two, as in the parser.
 A rewrite multiplies by alpha+alpha^-1, -1, -e*hbar or 1, whose nontrivial
@@ -53,7 +50,6 @@ from __future__ import annotations
 
 from bisect import bisect
 from dataclasses import dataclass
-from itertools import groupby
 from math import comb
 
 from ._sparse import scale, wrap
@@ -207,11 +203,11 @@ def rewrite_step(
     """
     if m.antifields:
         raise ValueError("rewriting applies to purely even monomials only")
-    if not m.field_exponent(site):
+    if site not in m.fields:
         raise ValueError(f"monomial {m} does not contain delta[{site}]")
     y, mirror = _site_rule(site, interval, window)
     rest = m.lower_field(site)
-    one, e = Scalar.one(), rest.field_exponent(y)
+    one, e = Scalar.one(), rest.fields.count(y)
     # the terms carry delta[y] to the powers e+1, e and e-1, so no two merge
     terms = {rest.raise_field(y): params.alpha_plus_inverse(), rest.raise_field(mirror): -one}
     if e and params.hbar:
@@ -224,7 +220,7 @@ def _rewrite(
 ) -> None:
     """:func:`rewrite_step` of ``coeff * m`` on numerators, added into ``work`` and ``homotopy``.
 
-    ``m`` is a sorted site tuple; ``coeff`` is a ``(den, nums)`` pair that
+    ``m`` is a ``Monomial.fields`` tuple; ``coeff`` is a ``(den, nums)`` pair that
     the caller hands over; ``factors`` holds the numerators of
     alpha+alpha^-1 and of hbar over their common denominator q, and q.
     """
@@ -243,14 +239,9 @@ def _rewrite(
     homotopy[rest, y] = coeff
 
 
-def _monomial(sites: tuple, antifields: tuple = ()) -> Monomial:
-    """The monomial of a sorted site tuple, times the given antifields."""
-    return Monomial(tuple((s, len(list(g))) for s, g in groupby(sites)), antifields)
-
-
 def _homotopy_cochain(raw: dict) -> Cochain:
     """The homotopy of a map from ``(rest, y)`` to ``(den, nums)``: bdelta[y] * rest."""
-    terms = {_monomial(rest, (y,)): _reduced(nums, den) for (rest, y), (den, nums) in raw.items()}
+    terms = {Monomial(rest, (y,)): _reduced(nums, den) for (rest, y), (den, nums) in raw.items()}
     return wrap(Cochain, terms)
 
 
@@ -269,7 +260,7 @@ def _reduce_to_window(
     reach = max((window.distance(s) for s in c.field_support()), default=0)
     if reach:
         n = reach + 2
-        outside = max(sum(e for s, e in m.fields if window.distance(s)) for m, _ in c.terms())
+        outside = max(sum(window.distance(s) > 0 for s in m.fields) for m, _ in c.terms())
         count = min(comb(c.max_polynomial_degree() + n, n), len(c.terms()) * comb(outside + n, n))
         if count > REWRITE_GUARD:
             raise ValueError(f"reduction may rewrite more than {REWRITE_GUARD} monomials")
@@ -280,7 +271,7 @@ def _reduce_to_window(
     factors = (ap1, hbar, q)
     terms = list(c.terms())
     den, nums = _over([v for _, v in terms])
-    work = {tuple(s for s, e in m.fields for _ in range(e)): (den, n) for (m, _), n in zip(terms, nums)}
+    work = {m.fields: (den, n) for (m, _), n in zip(terms, nums)}
     homotopy: dict = {}
     for d in range(reach, 0, -1):
         right, left = window.base + 1 + d, window.base - d
@@ -291,7 +282,7 @@ def _reduce_to_window(
             for level in range(top, 0, -1):
                 for m in [m for m in work if m.count(site) == level]:
                     _rewrite(m, site, y, mirror, work.pop(m), factors, work, homotopy)
-    normal = wrap(Cochain, {_monomial(m): _reduced(nums, den) for m, (den, nums) in work.items()})
+    normal = wrap(Cochain, {Monomial(m, ()): _reduced(nums, den) for m, (den, nums) in work.items()})
     return HomotopyCertificate(c, normal, homotopy)
 
 

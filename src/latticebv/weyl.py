@@ -319,7 +319,7 @@ class StarAlgebra:
         powers = self._q1_powers
         out: dict = {}
         for m, c in form.terms():
-            a, b = m.field_exponent(0), m.field_exponent(1)
+            a, b = m.fields.count(0), m.fields.count(1)
             if a + b != m.polynomial_degree:
                 raise ValueError(f"canonical form leaves the window {{0, 1}}: {m}")
             while len(powers) <= b:

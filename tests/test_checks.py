@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -274,15 +275,14 @@ def test_cli_rejects_high_powers_far_from_the_window(argv):
     assert not proc.stdout
 
 
-def test_full_suite_passes_end_to_end():
+def test_full_suite_passes_end_to_end(suite_results):
     # the complete named suite: 23 entries, all passing, exit code 0, and
     # the JSON report equal to the recorded one with elapsed times zeroed
-    results = run_suite(None, DEFAULTS)
+    results = suite_results
     assert len(results) == 23
     assert [r.id for r in results] == list(CHECK_IDS)
     assert all(r.status == "pass" for r in results), emit_report(results, "text")
     assert suite_exit_code(results) == 0
-    for r in results:
-        r.elapsed_ms = 0
+    zeroed = [replace(r, elapsed_ms=0) for r in results]
     recorded = json.loads((Path(__file__).parent / "data" / "check_all.json").read_text())
-    assert json.loads(emit_report(results, "json")) == recorded
+    assert json.loads(emit_report(zeroed, "json")) == recorded

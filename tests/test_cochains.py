@@ -198,6 +198,13 @@ def test_scalar_embedding(s):
     assert (Cochain.scalar(s) - Cochain.scalar(s)).is_zero
 
 
+def test_fields_hold_one_sorted_site_per_factor():
+    m = Monomial.make({1: 1, -3: 2})
+    assert m.fields == (-3, -3, 1)
+    assert str(m) == "delta[-3]^2*delta[1]" and m.polynomial_degree == 3
+    assert list((d(1) * d(-3) ** 2).terms()) == [(m, Scalar.one())]
+
+
 def test_raise_field_inverts_lower_field():
     m = Monomial.make({-2: 1, 3: 2}, (0, 4))
     for site, fields in ((-5, {-5: 1, -2: 1, 3: 2}), (-2, {-2: 2, 3: 2}), (1, {-2: 1, 1: 1, 3: 2}),

@@ -245,7 +245,7 @@ def test_basis_guard_counts_before_building(monkeypatch):
     def forbidden(*_args):
         raise AssertionError("the basis was built before the size guard")
 
-    monkeypatch.setattr(oracle, "_field_monomials", forbidden)
+    monkeypatch.setattr(oracle, "combinations_with_replacement", forbidden)
     with pytest.raises(BasisTooLargeError):
         truncated_basis(Interval(0, 200), 3)
 

@@ -1,9 +1,10 @@
 """Pinned parser results over seeded strings of the grammar.
 
-``data/parse_digests.json`` holds 744 strings: hand-picked edge cases
+``data/parse_digests.json`` holds 759 strings: hand-picked edge cases
 (parenthesized sums between odd generators, leading minus chains, powers 0,
 1 and 2, negative powers and their errors, powers and products at the
-``MAX_POWER_TERMS`` boundary), rendered seeded cochains, and seeded random
+``MAX_POWER_TERMS`` boundary, runs, products and powers at the
+``MAX_DEGREE`` boundary), rendered seeded cochains, and seeded random
 strings of the grammar, some of them corrupted.  For each it pins the
 SHA-256 digest of the rendered result, or the ``ParseError`` message and
 position.  A change that alters what the parser accepts, returns or reports
@@ -109,6 +110,22 @@ CASES = [
     f"{_BIG}*bdelta[0]^2",
     f"delta[0]*{_BIG}",
     f"hbar*{_BIG}",
+    # terms at the MAX_DEGREE boundary: a run, a product and a power
+    "delta[0]^200*delta[1]^56",
+    "delta[0]^200*delta[1]^57",
+    "delta[0]^255*bdelta[1]",
+    "delta[0]^255*bdelta[1]*bdelta[2]",
+    "0*delta[0]^200*delta[1]^57",
+    "(delta[0]^200)*delta[1]^57",
+    "(delta[0]^200 + 1)*(delta[1]^56 + hbar)",
+    "(delta[0]^200 + 1)*(delta[1]^57 + hbar)",
+    "delta[0]^100*delta[2]^100*(delta[1]^57 + 1)",
+    "(delta[0]^2)^128",
+    "(delta[0]^2)^129",
+    "(delta[0]^128 + delta[1])^2",
+    "(delta[0]^129 + delta[1])^2",
+    "(delta[0]^256+delta[1])^256",
+    "*".join(["(delta[0]^255+delta[1]^255)"] * 13),
     # syntax errors
     "",
     "delta[0] + ",

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from latticebv import parser
 from latticebv.cochains import Cochain
 from latticebv.cli import main
-from latticebv.parser import MAX_EXPONENT, MAX_NESTING, ParseError, parse_cochain, parse_scalar
+from latticebv.parser import MAX_DEGREE, MAX_EXPONENT, MAX_NESTING, ParseError, parse_cochain, parse_scalar
 from latticebv.scalars import ALPHA, HBAR, Scalar
 
 from strategies import cochains, scalars
@@ -122,6 +122,50 @@ def test_exponent_limit():
         with pytest.raises(ParseError) as err:
             parse_cochain(text)
         assert err.value.position == text.index("^")
+
+
+@pytest.mark.parametrize(
+    "within, beyond, at",
+    [
+        # a run of atoms, odd factors counted too: reported at the '*' before the factor past the bound
+        ("delta[0]^200*delta[1]^56", "delta[0]^200*delta[1]^57", "*"),
+        ("delta[0]^255*bdelta[1]", "delta[0]^255*bdelta[1]*bdelta[2]", "*"),
+        ("(delta[0]^200)*delta[1]^56", "(delta[0]^200)*delta[1]^57", "*"),
+        # a product with a parenthesized factor, the run before it included
+        ("(delta[0]^200 + 1)*(delta[1]^56 + hbar)", "(delta[0]^200 + 1)*(delta[1]^57 + hbar)", "*"),
+        ("delta[0]^100*delta[2]^100*(delta[1]^56 + 1)", "delta[0]^100*delta[2]^100*(delta[1]^57 + 1)", "*"),
+        # a power, at its '^': 257 is prime, so the first degree past the bound a power reaches is 258
+        ("(delta[0]^2)^128", "(delta[0]^2)^129", "^"),
+        ("(delta[0]^128 + delta[1])^2", "(delta[0]^129 + delta[1])^2", "^"),
+    ],
+    ids=["run", "run-odd", "run-after-factor", "product", "run-then-product", "power", "power-of-sum"],
+)
+def test_degree_limit(within, beyond, at):
+    assert parse_cochain(within).max_polynomial_degree() == MAX_DEGREE
+    with pytest.raises(ParseError, match=f"exceed degree {MAX_DEGREE}") as err:
+        parse_cochain(beyond)
+    assert err.value.position == beyond.rindex(at)
+
+
+def test_degree_limit_counts_the_factors_written():
+    # the bound counts the factors written, even where the value is zero
+    with pytest.raises(ParseError, match="exceed degree"):
+        parse_cochain("0*delta[0]^200*delta[1]^57")
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["(delta[0]^256+delta[1])^256", "*".join(["(delta[0]^255+delta[1]^255)"] * 13)],
+    ids=["power", "product"],
+)
+def test_cli_rejects_terms_past_the_degree_limit(text, capsys):
+    assert main(["parse", text]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_cli_still_reduces_a_high_degree_term(capsys):
+    assert main(["nf", "delta[0]^200*delta[2]"]) == 0
+    assert '"normal_form": "(alpha^-1 + alpha)*delta[0]^200*delta[1] - delta[0]^201"' in capsys.readouterr().out
 
 
 @pytest.mark.parametrize(

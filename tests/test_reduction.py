@@ -194,10 +194,10 @@ def _reference_reduction(c, interval, window, params, strategy):
     for distance in range(reach, 0, -1):
         right, left = window.base + 1 + distance, window.base - distance
         for site in (right, left) if strategy == "right" else (left, right):
-            top = max((m.field_exponent(site) for m, _ in work.terms()), default=0)
+            top = max((m.fields.count(site) for m, _ in work.terms()), default=0)
             for level in range(top, 0, -1):
                 # a rewrite at this level makes only lower levels, so the coefficients stay
-                for m, coeff in [(m, v) for m, v in work.terms() if m.field_exponent(site) == level]:
+                for m, coeff in [(m, v) for m, v in work.terms() if m.fields.count(site) == level]:
                     replacement, hterm = rewrite_step(m, site, interval, window, params)
                     work = work - Cochain({m: coeff}) + replacement * coeff
                     homotopy = homotopy + hterm * coeff
