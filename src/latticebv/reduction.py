@@ -49,6 +49,7 @@ a certificate's ``homotopy`` is read.
 from __future__ import annotations
 
 from bisect import bisect
+from collections.abc import Callable
 from dataclasses import dataclass
 from math import comb
 
@@ -72,6 +73,7 @@ __all__ = [
 ]
 
 STRATEGIES = ("right", "left")
+Lazy = Cochain | Callable[[], Cochain]  # a function is called on first read
 
 # A reduction rewrites each monomial at most once per site, so the
 # comb(D + S, S) monomials of degree <= D, the input's largest, in the S sites
@@ -118,20 +120,22 @@ class Window:
 class HomotopyCertificate:
     """Witness that ``input = normal_form + d_h(homotopy)`` exactly.
 
-    The engine passes its raw homotopy map, from ``(rest, y)`` to
-    ``(den, nums)``, in place of a ``Cochain``; it is built on first read.
+    The input and the homotopy may be given as functions of no argument,
+    called on first read, so that what no caller reads is never built.
     """
 
-    __slots__ = ("input", "normal_form", "_homotopy")
+    __slots__ = ("_input", "normal_form", "_homotopy")
 
-    def __init__(self, input: Cochain, normal_form: Cochain, homotopy: Cochain | dict):
-        self.input, self.normal_form, self._homotopy = input, normal_form, homotopy
+    def __init__(self, input: Lazy, normal_form: Cochain, homotopy: Lazy):
+        self._input, self.normal_form, self._homotopy = input, normal_form, homotopy
 
-    @property
-    def homotopy(self) -> Cochain:
-        if isinstance(self._homotopy, dict):
-            self._homotopy = _homotopy_cochain(self._homotopy)
-        return self._homotopy
+    input = property(lambda self: self._built("_input"))
+    homotopy = property(lambda self: self._built("_homotopy"))
+
+    def _built(self, slot: str) -> Cochain:
+        if callable(value := getattr(self, slot)):
+            setattr(self, slot, value := value())
+        return value
 
     def _fields(self) -> tuple[Cochain, Cochain, Cochain]:
         return (self.input, self.normal_form, self.homotopy)
@@ -245,6 +249,18 @@ def _homotopy_cochain(raw: dict) -> Cochain:
     return wrap(Cochain, terms)
 
 
+def _guarded_reach(c: Cochain, window: Window) -> int:
+    """The largest window distance of a field site of ``c``; raises past :data:`REWRITE_GUARD`."""
+    reach = max((window.distance(s) for s in c.field_support()), default=0)
+    if reach:
+        n = reach + 2
+        outside = max(sum(window.distance(s) > 0 for s in m.fields) for m, _ in c.terms())
+        count = min(comb(c.max_polynomial_degree() + n, n), len(c.terms()) * comb(outside + n, n))
+        if count > REWRITE_GUARD:
+            raise ValueError(f"reduction may rewrite more than {REWRITE_GUARD} monomials")
+    return reach
+
+
 def _reduce_to_window(
     c: Cochain,
     interval: Interval,
@@ -256,14 +272,9 @@ def _reduce_to_window(
     field_sites = interval.field_sites()
     if not all(s in field_sites for s in window.sites):
         raise ValueError(f"window {window} is not made of field sites of {interval}")
-
-    reach = max((window.distance(s) for s in c.field_support()), default=0)
-    if reach:
-        n = reach + 2
-        outside = max(sum(window.distance(s) > 0 for s in m.fields) for m, _ in c.terms())
-        count = min(comb(c.max_polynomial_degree() + n, n), len(c.terms()) * comb(outside + n, n))
-        if count > REWRITE_GUARD:
-            raise ValueError(f"reduction may rewrite more than {REWRITE_GUARD} monomials")
+    reach = _guarded_reach(c, window)
+    if not reach:  # already in the window: its own normal form, not rebuilt
+        return HomotopyCertificate(c, c, Cochain.zero())
 
     # The input starts over its common denominator and a rewrite multiplies a
     # denominator by q or by 1, so each is the input's times a power of q.
@@ -283,7 +294,7 @@ def _reduce_to_window(
                 for m in [m for m in work if m.count(site) == level]:
                     _rewrite(m, site, y, mirror, work.pop(m), factors, work, homotopy)
     normal = wrap(Cochain, {Monomial(m, ()): _reduced(nums, den) for m, (den, nums) in work.items()})
-    return HomotopyCertificate(c, normal, homotopy)
+    return HomotopyCertificate(c, normal, lambda: _homotopy_cochain(homotopy))
 
 
 def normal_form(

@@ -29,10 +29,10 @@ from fractions import Fraction
 from typing import Mapping
 
 from ._sparse import TermMap, accumulate, canonical, power, product, render, scale, wrap
-from .cochains import Cochain, LatticeFunction, support_within
+from .cochains import Cochain, LatticeFunction, Monomial, support_within
 from .complexes import ModelParams, phi
-from .operad import Interval, factorization_product, time_reversal, translate
-from .reduction import HomotopyCertificate, Window, _reduce_to_window, relocate
+from .operad import Interval, time_reversal, translate
+from .reduction import REWRITE_GUARD, HomotopyCertificate, Window, _guarded_reach, _reduce_to_window, relocate
 from .scalars import Scalar, as_scalar
 
 __all__ = [
@@ -134,6 +134,8 @@ class StarGeometry:
             raise ValueError("left window must consist of field sites of the left sub-interval")
         if not all(s in self.right.field_sites() for s in self.right_window.sites):
             raise ValueError("right window must consist of field sites of the right sub-interval")
+        if self.right_window.base not in (0, 1):  # see StarAlgebra.star
+            raise ValueError("right window must start on site 0 or 1, next to the canonical window {0, 1}")
 
 
 GEOMETRIES: dict[str, StarGeometry] = {
@@ -170,27 +172,29 @@ class H0Class:
     """A degree-0 cohomology class held by an even representative.
 
     The canonical form (the reduction of the representative to the window
-    {0, 1}) is cached together with its certificate; classes compare equal
-    iff their canonical forms agree.
+    {0, 1}) is cached with its certificate, or given with it by a star
+    product (its representative is the input); classes are equal iff their
+    canonical forms agree.
     """
 
-    __slots__ = ("rep", "ambient", "params", "_cert")
+    __slots__ = ("_rep", "ambient", "params", "_cert")
 
-    def __init__(self, rep: Cochain, ambient: Interval, params: ModelParams):
-        if not rep.is_even_degree_zero:
+    def __init__(
+        self, rep: Cochain | None, ambient: Interval, params: ModelParams, cert: HomotopyCertificate | None = None
+    ):
+        if cert is None and not rep.is_even_degree_zero:
             raise ValueError("class representatives must be purely even of degree 0")
-        if not support_within(rep, ambient):
+        if cert is None and not support_within(rep, ambient):
             raise ValueError(f"representative is not supported within {ambient}")
-        self.rep = rep
-        self.ambient = ambient
-        self.params = params
-        self._cert: HomotopyCertificate | None = None
+        self._rep, self.ambient, self.params, self._cert = rep, ambient, params, cert
+
+    rep = property(lambda self: self.certificate.input if self._rep is None else self._rep)
 
     @property
     def certificate(self) -> HomotopyCertificate:
         if self._cert is None:
             # __init__ has checked the representative: the reduction proper
-            self._cert = _reduce_to_window(self.rep, self.ambient, CANONICAL_WINDOW, self.params, "right")
+            self._cert = _reduce_to_window(self._rep, self.ambient, CANONICAL_WINDOW, self.params, "right")
         return self._cert
 
     @property
@@ -222,11 +226,11 @@ class StarAlgebra:
     """The star-product algebra on degree-0 classes of a named geometry.
 
     ``StarAlgebra(params, geometry)`` takes the model parameters and a key
-    of :data:`GEOMETRIES`.  Each instance caches its own classes,
-    relocations, star powers of the generators and powers of Q(1) (nothing
-    is shared between instances), and converts between classes and
-    normal-ordered Weyl elements both ways, up to total degree
-    :data:`MAX_DEGREE`.
+    of :data:`GEOMETRIES`.  Each instance caches its own relocated monomials,
+    reduced as :meth:`star` says, its table T, star powers of the generators
+    and powers of Q(1) (nothing is shared between instances), and converts
+    between classes and normal-ordered Weyl elements both ways, up to total
+    degree :data:`MAX_DEGREE`.
 
     ``WeylElement`` products always use the symbolic hbar, so
     :meth:`to_weyl` raises unless ``params.hbar`` is the symbol; the star
@@ -236,19 +240,15 @@ class StarAlgebra:
     def __init__(self, params: ModelParams, geometry: str):
         self.params = params
         self.geometry = GEOMETRIES[geometry]
-        self._classes: dict[Cochain, H0Class] = {}
-        self._reloc: dict[tuple[Cochain, int], Cochain] = {}
+        self._reloc: dict[tuple[Monomial, int], HomotopyCertificate] = {}
+        self._table: dict[tuple[Monomial, Monomial], HomotopyCertificate] = {}
         self._psi: dict[tuple[int, int], H0Class] = {}
         self._q1_powers = [WeylElement.one(), phi(LatticeFunction.delta(1), params)]
 
     # -- classes -------------------------------------------------------------
 
     def class_of(self, rep: Cochain) -> H0Class:
-        cached = self._classes.get(rep)
-        if cached is None:
-            cached = H0Class(rep, self.geometry.ambient, self.params)
-            self._classes[rep] = cached
-        return cached
+        return H0Class(rep, self.geometry.ambient, self.params)
 
     @property
     def one(self) -> H0Class:
@@ -265,21 +265,50 @@ class StarAlgebra:
 
     # -- star product ----------------------------------------------------------
 
-    def _relocated(self, c: Cochain, window: Window) -> Cochain:
-        key = (c, window.base)
-        cached = self._reloc.get(key)
-        if cached is None:
-            cached = relocate(c, self.geometry.ambient, window, self.params).normal_form
-            self._reloc[key] = cached
-        return cached
+    def _relocated(self, m: Monomial, window: Window, then: Window) -> HomotopyCertificate:
+        """The reduction onto ``then`` of ``m`` relocated onto ``window``, which lies in its sub-interval."""
+        if (m, window.base) not in self._reloc:
+            c = relocate(Cochain({m: 1}), self.geometry.ambient, window, self.params).normal_form
+            self._reloc[m, window.base] = _reduce_to_window(c, self.geometry.ambient, then, self.params, "right")
+        return self._reloc[m, window.base]
+
+    def _entry(self, m: Monomial, n: Monomial) -> HomotopyCertificate:
+        """T[m, n], built on first use in the two phases that :meth:`star` describes."""
+        if (m, n) not in self._table:
+            g = self.geometry
+            first = self._relocated(m, g.left_window, Window(CANONICAL_WINDOW.base - 1))
+            right = self._relocated(n, g.right_window, g.right_window).input
+            second = _reduce_to_window(first.normal_form * right, g.ambient, CANONICAL_WINDOW, self.params, "right")
+            # d_h(H * right) = d_h(H) * right: right has no antifield and no field at H's sites
+            self._table[m, n] = HomotopyCertificate(
+                lambda: first.input * right, second.normal_form, lambda: first.homotopy * right + second.homotopy
+            )
+        return self._table[m, n]
 
     def star(self, x: H0Class, y: H0Class) -> H0Class:
-        """x * y: relocate into the ordered sub-intervals, multiply, reduce."""
-        g = self.geometry
-        left = self._relocated(x.canonical_form, g.left_window)
-        right = self._relocated(y.canonical_form, g.right_window)
-        product = factorization_product([(left, g.left), (right, g.right)], g.ambient)
-        return self.class_of(product)
+        """x * y: the sum of x_m y_n T[m, n] over the monomials of the canonical forms.
+
+        T[m, n] certifies the reduction to {0, 1} of m relocated onto the
+        left window times n relocated onto the right one: first of the left
+        factor alone onto {-1, 0}, once per m, which makes the same rewrites
+        (toward s + 1 <= -1, where the right factor has no factor), then of
+        the product.  The engine is linear on normal forms and homotopies
+        (``test_the_engine_is_linear_on_normal_forms_and_homotopies``), so the
+        sum certifies the product; its input and homotopy are built when read.
+        """
+        g, p = self.geometry, self.params
+        xs, ys = x.canonical_form, y.canonical_form
+        span = CANONICAL_WINDOW.distance(g.left_window.base) + 2
+        if math.comb(xs.max_polynomial_degree() + ys.max_polynomial_degree() + span, span) > REWRITE_GUARD:
+            # maybe past the engine's guard: count the whole forms' reductions before building entries
+            left, right = relocate(xs, g.ambient, g.left_window, p), relocate(ys, g.ambient, g.right_window, p)
+            _guarded_reach(left.normal_form * right.normal_form, CANONICAL_WINDOW)
+        pairs = [(a * b, self._entry(m, n)) for m, a in xs.terms() for n, b in ys.terms()]
+        def summed(part: str) -> Cochain:
+            terms = ((k, v * c) for c, entry in pairs for k, v in getattr(entry, part).terms())
+            return wrap(Cochain, accumulate({}, terms))
+        cert = HomotopyCertificate(lambda: summed("input"), summed("normal_form"), lambda: summed("homotopy"))
+        return H0Class(None, g.ambient, p, cert)
 
     def commutator(self, x: H0Class, y: H0Class) -> H0Class:
         return self.star(x, y) - self.star(y, x)

@@ -226,6 +226,28 @@ def test_engine_equals_reference_reducer(params):
             assert (cert.normal_form, cert.homotopy) == _reference_reduction(c, ambient, window, params, strategy)
 
 
+def test_a_cochain_in_its_window_is_its_own_normal_form(monkeypatch):
+    # nothing to rewrite: the input comes back as its normal form, with a zero
+    # homotopy, and no coefficient goes onto the engine's numerators
+    c = d(0) ** 3 * d(1) * (HBAR + AP1) - d(1) * Fraction(2, 3) + Cochain.scalar(HBAR)
+    reference = _reference_reduction(c, J44, Window(0), SYMBOLIC, "right")
+
+    def refuse(*args):
+        raise AssertionError("an input in its window must not be rewritten")
+
+    monkeypatch.setattr(reduction, "_over", refuse)
+    for strategy in STRATEGIES:
+        cert = normal_form(c, J44, Window(0), SYMBOLIC, strategy)
+        assert cert.normal_form is c and cert.input is c
+        assert (cert.normal_form, cert.homotopy) == reference
+        assert verify_certificate(cert, SYMBOLIC)
+    # the window is checked first: (4, 5) is not a pair of field sites of (-4, 4)
+    with pytest.raises(ValueError, match="not made of field sites"):
+        normal_form(d(3), J44, Window(3), SYMBOLIC)
+    with pytest.raises(ValueError, match="not made of field sites"):
+        normal_form(Cochain.one(), J44, Window(4), SYMBOLIC)
+
+
 def test_relocation_of_delta0():
     cert = relocate(d(0), J44, Window(2), SYMBOLIC)
     assert cert.normal_form == d(2) * (AP1 * AP1 - Scalar.one()) - d(3) * AP1

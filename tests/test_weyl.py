@@ -1,5 +1,6 @@
 import random
 import sys
+import time
 from collections import Counter
 from fractions import Fraction
 from itertools import product
@@ -90,6 +91,36 @@ def test_star_of_delta0_with_itself():
     product = algebra.star(q, q)
     assert product.canonical_form == d(0) ** 2
     assert verify_certificate(product.certificate, SYMBOLIC)
+
+
+def test_a_product_past_the_rewrite_guard_fails_before_the_table_fills():
+    # relocated onto {-3, -2}, delta[0]^10 times delta[1]^7 reduces over the
+    # sites -3..1, comb(17 + 5, 5) = 26,334 monomials; with delta[1]^6 it is 20,349
+    algebra = StarAlgebra(SYMBOLIC, "default")
+    with pytest.raises(ValueError, match="may rewrite more than 25000 monomials"):
+        algebra.star(algebra.class_of(d(0) ** 10), algebra.class_of(d(1) ** 7))
+    assert not algebra._table and not algebra._reloc
+    assert algebra.star(algebra.class_of(d(0) ** 10), algebra.class_of(d(1) ** 6)).canonical_form == d(0) ** 10 * d(1) ** 6
+
+
+@pytest.mark.parametrize(
+    "left, right, code",
+    [
+        ("delta[0]^10", "delta[1]^6", 0),
+        ("delta[0]^10", "delta[1]^7", 2),
+        ("delta[0]^12", "delta[1]^12", 2),
+        ("(1+alpha)^50*delta[0]^6", "delta[1]^6", 0),
+    ],
+)
+def test_cli_star_near_the_rewrite_guard(left, right, code, capsys):
+    start = time.perf_counter()
+    assert main(["star", left, right]) == code
+    assert time.perf_counter() - start < 1
+    out, err = capsys.readouterr()
+    if code:
+        assert err == "error: reduction may rewrite more than 25000 monomials\n" and not out
+    else:
+        assert out.endswith("delta[0]^10*delta[1]^6\n" if left == "delta[0]^10" else ")*delta[0]^6*delta[1]^6\n")
 
 
 def test_massless_commutator_is_hbar():
@@ -221,7 +252,8 @@ def test_to_weyl_uses_neither_psi_nor_star(monkeypatch):
 
 
 def test_star_and_to_weyl_build_no_homotopy(monkeypatch):
-    # the star path reads only normal forms; a homotopy is built on first read
+    # the star path reads only normal forms; a product's homotopy, the sum of
+    # its table entries' homotopies, is built on first read
     built = []
     build = reduction._homotopy_cochain
 
@@ -235,8 +267,9 @@ def test_star_and_to_weyl_build_no_homotopy(monkeypatch):
     assert algebra.to_weyl(x) == WeylElement.q() * WeylElement.p() * WeylElement.q(2) * WeylElement.p(3)
     assert not built
     cert = x.certificate
-    assert not cert.homotopy.is_zero and cert.homotopy is cert.homotopy
-    assert len(built) == 1
+    assert not cert.homotopy.is_zero and built
+    read = len(built)
+    assert cert.homotopy is cert.homotopy and len(built) == read
     assert verify_certificate(cert, SYMBOLIC)
 
 
@@ -383,11 +416,14 @@ def test_a_class_certificate_does_not_recheck_its_representative(monkeypatch):
     objs = star.build()
     for inp in star.inputs(1):
         star.op(objs, inp)
-    # the 191 classes are checked once each, by H0Class.__init__; the engine
-    # checks only the arguments of the 159 relocations
-    assert calls == {"latticebv.weyl": 191, "latticebv.reduction": 159, "latticebv.operad": 234}
+    # the 91 classes built from a representative are checked once each, by
+    # H0Class.__init__, and no star product is, as its factors were; the
+    # engine checks only the 49 relocated monomials, each once, and no
+    # factorization product is built
+    assert calls == {"latticebv.weyl": 91, "latticebv.reduction": 49}
+    assert len(objs["algebra"]._reloc) == 49
     with pytest.raises(ValueError, match="not supported"):
-        objs["algebra"]._relocated(d(9), Window(3))
+        objs["algebra"]._relocated(Monomial((9,), ()), Window(3), Window(3))
 
 
 def test_h0_class_arithmetic_and_equality():
@@ -396,3 +432,45 @@ def test_h0_class_arithmetic_and_equality():
     y = algebra.class_of(d(1) * AP1 - d(0))
     assert x == y
     assert (x - y).canonical_form.is_zero
+
+
+# -- the table against the whole-form recipe --------------------------------------
+
+
+def _direct_star(algebra: StarAlgebra, x: H0Class, y: H0Class) -> reduction.HomotopyCertificate:
+    """Reference: the whole-form recipe that the table of monomial pairs replaced.
+
+    Relocate each canonical form onto its window, multiply with the
+    factorization product, and reduce the product to the window {0, 1}.
+    """
+    g = algebra.geometry
+    left = reduction.relocate(x.canonical_form, g.ambient, g.left_window, algebra.params).normal_form
+    right = reduction.relocate(y.canonical_form, g.ambient, g.right_window, algebra.params).normal_form
+    product = operad.factorization_product([(left, g.left), (right, g.right)], g.ambient)
+    return normal_form(product, g.ambient, Window(0), algebra.params)
+
+
+STAR_POINTS = {
+    "symbolic": SYMBOLIC,
+    "alpha-1": MASSLESS,
+    "alpha-2": ModelParams.at(alpha=2),
+    "hbar-0.5-alpha-1.5": ModelParams.at(Fraction(1, 2), Fraction(3, 2)),
+    "hbar-0": ModelParams.at(hbar=0),
+    "alpha-minus-1": ModelParams.at(alpha=-1),
+}
+
+
+@pytest.mark.parametrize("point", sorted(STAR_POINTS))
+@pytest.mark.parametrize("geometry", sorted(GEOMETRIES))
+def test_the_table_equals_the_whole_form_recipe(geometry, point):
+    params = STAR_POINTS[point]
+    algebra = StarAlgebra(params, geometry)
+    basis = [(a, n - a) for n in range(7) for a in range(n + 1)]
+    for u, v in product(basis, repeat=2):
+        if sum(u) + sum(v) <= 6:
+            x, y = algebra.psi(*u), algebra.psi(*v)
+            got, want = algebra.star(x, y).certificate, _direct_star(algebra, x, y)
+            assert got.normal_form == want.normal_form, (u, v)
+            assert got.input == want.input, (u, v)
+            assert got.homotopy == want.homotopy, (u, v)
+            assert verify_certificate(got, params), (u, v)
